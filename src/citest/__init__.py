@@ -17,7 +17,6 @@ from .errors import (
 )
 from .profile import (
     CitationProfile,
-    TruncatedProfile,
     load_profile,
     normalize,
     truncate_head,

@@ -1,8 +1,9 @@
 """Command-line interface: index reports, estimation, partitions, table reproduction.
 
-Exit codes: 2 parse failure, 3 empty/degenerate core, 4 insufficient rank
-prefix, 5 resource ceiling, 6 missing fixtures.  All output is deterministic
-for identical inputs.
+Exit codes: 1 ``table --diff`` found mismatches, 2 parse failure (including
+an input file that is not UTF-8 text or is a directory), 3 empty/degenerate
+core, 4 insufficient rank prefix, 5 resource ceiling, 6 missing fixtures.
+All output is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import refdata
@@ -36,8 +36,9 @@ from .indices import compute_core_indices
 from .partitions import _max_n as _partition_ceiling
 from .partitions import count_by_durfee, durfee_mode_formula, partition_count
 from .profile import load_profile, truncate_head
-from .shifted import h_defect, shifted_ladder
+from .shifted import h_defect
 
+EXIT_DIFF = 1
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_TAIL = 4
@@ -111,9 +112,9 @@ def cmd_indices(args) -> int:
         "h_na": na,
         "h_na_over_h": na / ci.h,
         "e_over_h": ci.e_index / ci.h,
-        "q_over_e": (ci.q / ci.e_index) if ci.e_index > 0 else None,
-        "i": (variants.i.lo, variants.i.hi) if ci.e_index > 0 else None,
-        "i_mean": variants.i_mean if ci.e_index > 0 else None,
+        "q_over_e": ci.q / ci.e_index,
+        "i": (variants.i.lo, variants.i.hi),
+        "i_mean": variants.i_mean,
     }
     style = "json" if args.json else ("csv" if args.csv else "plain")
     _emit_row(row, style, args.precision, sys.stdout)
@@ -132,7 +133,7 @@ def cmd_estimate(args) -> int:
     if args.ladder:
         writer = csv.writer(sys.stdout)
         writer.writerow(["k", "h_k", "n_h_k", "n_cit_k", "e_k", "q_k"])
-        for row in shifted_ladder(subject, defect.d + 1):
+        for row in defect.rows:
             writer.writerow([
                 row.k, row.h_k, row.n_h_k,
                 "" if row.n_cit_k is None else row.n_cit_k,
@@ -153,7 +154,7 @@ def cmd_estimate(args) -> int:
         "b_dprime": report.b_dprime,
         "b": report.b_est,
     }
-    if args.blind is not None and not subject.is_complete:
+    if not subject.complete:
         row["ranks_consumed"] = report.ranks_consumed
     else:
         metrics = error_metrics(profile, report)
@@ -242,7 +243,7 @@ def _table2_row(name, profile, precision):
     return {
         "researcher": name,
         "n_cit": profile.n_cit,
-        "h": compute_core_indices(profile).h,
+        "h": defect.rows[0].h_k,
         "case": defect.case_tag,
         "d": defect.d,
         "h_d": defect.row_d.h_k,
@@ -297,7 +298,8 @@ def _emit_table(rows, precision, out) -> None:
         writer.writerow(_fmt(v, precision) for v in row.values())
 
 
-def _diff_report(table_id, rows, out) -> None:
+def _diff_report(table_id, rows, out) -> bool:
+    """Write the cell-by-cell comparison; return whether every cell matched."""
     expected_map = {
         "1": refdata.TABLE1_EXPECTED,
         "2": refdata.TABLE2_EXPECTED,
@@ -306,6 +308,7 @@ def _diff_report(table_id, rows, out) -> None:
     out.write("\n# diff against published values\n")
     writer = csv.writer(out)
     writer.writerow(["researcher", "cell", "got", "published", "delta", "ok"])
+    all_ok = True
     for row in rows:
         name = row["researcher"]
         for cell, expected in expected_map.get(name, {}).items():
@@ -314,6 +317,7 @@ def _diff_report(table_id, rows, out) -> None:
             if not isinstance(expected, tuple):
                 expected = (expected, 0)
             ok, delta = _diff_cell(row[cell], expected)
+            all_ok = all_ok and ok
             writer.writerow([
                 name, cell, _fmt(row[cell], 10), _fmt(expected[0], 10),
                 _fmt(delta, 4), "OK" if ok else "FAIL",
@@ -323,6 +327,7 @@ def _diff_report(table_id, rows, out) -> None:
         out.write("# skipped cells (published value inconsistent with its own inputs)\n")
         for _, name, cell, value, why in skipped:
             out.write(f"#   {name}.{cell} = {value}: {why}\n")
+    return all_ok
 
 
 def cmd_table(args) -> int:
@@ -339,12 +344,10 @@ def cmd_table(args) -> int:
             raise FileNotFoundError("fixture directory required (--fixtures DIR)")
         profiles = _load_fixture_profiles(args.fixtures, names)
         builder = _table1_row if args.table == "1" else _table2_row
-        # per-researcher computations are independent; merge in fixture order
-        with ThreadPoolExecutor(max_workers=min(8, len(names))) as pool:
-            rows = list(pool.map(lambda n: builder(n, profiles[n], precision), names))
+        rows = [builder(n, profiles[n], precision) for n in names]
     _emit_table(rows, precision, sys.stdout)
-    if args.diff:
-        _diff_report(args.table, rows, sys.stdout)
+    if args.diff and not _diff_report(args.table, rows, sys.stdout):
+        return EXIT_DIFF
     return 0
 
 
@@ -399,8 +402,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NegativeCitation, NegativeArgument,
-            RankOutOfRange, FileNotFoundError) as exc:
+    except (ParseError, NegativeCitation, NegativeArgument, RankOutOfRange,
+            FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
         if isinstance(exc, FileNotFoundError) and args.command == "table":
             print(f"citest: missing fixtures: {exc}", file=sys.stderr)
             return EXIT_FIXTURES

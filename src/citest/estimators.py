@@ -8,9 +8,12 @@ The square-root law links the h-index of a random partition of N to
 and its head-translated companion J_k = I_k + sum(cit_1..cit_k).  The A
 estimator averages the midpoints of J_d and J_{d+1}; the B estimator picks
 convex combinations of their bounds, with weights and bound choices driven
-by the defect case tag.  Everything here consumes only ranks 1..d+1+h_{d+1}
-(plus one certification rank), which is what makes blind estimation from a
-rank prefix possible.
+by the defect case tag.  Everything here reads only the h-core, rows d and
+d+1 and a short tail, which is what makes blind estimation from a rank
+prefix possible.  The prefix needed is the one the defect scan reads, which
+``ranks_consumed`` reports; a shorter one raises ``InsufficientTail`` naming
+the rank it lacked.  With d = 0 that scan reads past rank d+1+h_{d+1}+1 to
+certify that no crossing occurs.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     WrongCase,
 )
 from .indices import CoreIndices, compute_core_indices
-from .profile import CitationProfile, ProfileLike
+from .profile import CitationProfile
 from .shifted import DefectAnalysis, ShiftedRow, h_defect
 
 
@@ -62,11 +65,11 @@ def interval_I(h_val: int, q_val: float, e_val: float) -> Interval:
     return Interval((base * (1.0 - ratio)) ** 2, (base * (1.0 + ratio)) ** 2)
 
 
-def _head_sum(profile: ProfileLike, k: int) -> int:
-    return sum(profile.entries[:k])
+def _head_sum(profile: CitationProfile, k: int) -> int:
+    return sum(profile.citations[:k])
 
 
-def interval_J(profile: ProfileLike, k: int, ladder_row: ShiftedRow) -> Interval:
+def interval_J(profile: CitationProfile, k: int, ladder_row: ShiftedRow) -> Interval:
     """I_k translated by the head sum cit_1 + ... + cit_k."""
     if ladder_row.k != k:
         raise ValueError(f"ladder row is for k={ladder_row.k}, not k={k}")
@@ -207,16 +210,10 @@ def _require_rows(defect: DefectAnalysis) -> tuple[ShiftedRow, ShiftedRow]:
     return defect.rows[defect.d], defect.rows[defect.d + 1]
 
 
-def estimate_A(profile: ProfileLike, defect: DefectAnalysis) -> tuple[float, float]:
+def estimate_A(profile: CitationProfile, defect: DefectAnalysis) -> tuple[float, float]:
     """Midpoint estimator: A' from I-interval means, A from J-interval means."""
-    row_d, row_d1 = _require_rows(defect)
-    i_d = interval_I(row_d.h_k, row_d.q_k, row_d.e_k)
-    i_d1 = interval_I(row_d1.h_k, row_d1.q_k, row_d1.e_k)
-    a_prime = (i_d.midpoint + i_d1.midpoint) / 2.0
-    j_d = i_d.shift(_head_sum(profile, defect.d))
-    j_d1 = i_d1.shift(_head_sum(profile, defect.d + 1))
-    a_est = (j_d.midpoint + j_d1.midpoint) / 2.0
-    return a_prime, a_est
+    report = estimate_report(profile, defect)
+    return report.a_prime, report.a_est
 
 
 def estimate_A_quick(defect: DefectAnalysis, head: tuple[int, ...] | list[int]) -> float:
@@ -243,18 +240,20 @@ def _weighted(lo: float, hi: float, weight_hi: float) -> float:
 
 
 def estimate_B(
-    profile: ProfileLike, defect: DefectAnalysis
+    profile: CitationProfile, defect: DefectAnalysis
 ) -> tuple[float | None, float | None, float, CaseWeights]:
     """Weight-based estimator B with its per-case bound selection.
 
     Returns (B', B'', B, weights).  In cases 1b, 3a and 3b a single interval
     carries the estimate and B'/B'' are ``None``.
     """
-    row_d, row_d1 = _require_rows(defect)
-    tag = defect.case_tag
-    j_d = interval_J(profile, defect.d, row_d)
-    j_d1 = interval_J(profile, defect.d + 1, row_d1)
+    report = estimate_report(profile, defect)
+    return report.b_prime, report.b_dprime, report.b_est, report.weights
 
+
+def _estimate_B(
+    tag: str, row_d: ShiftedRow, row_d1: ShiftedRow, j_d: Interval, j_d1: Interval
+) -> tuple[float | None, float | None, float, CaseWeights]:
     if tag == "case1a":
         # both upper bounds, averaged (d = 0, so J_0 = I_0)
         weights = CaseWeights(alpha_d=0.0, beta_d=1.0, alpha_d1=0.0, beta_d1=1.0)
@@ -318,7 +317,9 @@ def estimate_B(
     raise WrongCase(f"unrecognized case tag {tag!r}")
 
 
-def estimate_report(profile: ProfileLike, defect: DefectAnalysis | None = None) -> EstimateReport:
+def estimate_report(
+    profile: CitationProfile, defect: DefectAnalysis | None = None
+) -> EstimateReport:
     """Run the whole estimation pipeline for one profile (full or prefix)."""
     if defect is None:
         defect = h_defect(profile)
@@ -331,9 +332,10 @@ def estimate_report(profile: ProfileLike, defect: DefectAnalysis | None = None) 
     j_d1 = i_d1.shift(head_d1)
     a_prime = (i_d.midpoint + i_d1.midpoint) / 2.0
     a_est = (j_d.midpoint + j_d1.midpoint) / 2.0
-    b_prime, b_dprime, b_est, weights = estimate_B(profile, defect)
+    b_prime, b_dprime, b_est, weights = _estimate_B(defect.case_tag, row_d, row_d1, j_d, j_d1)
 
-    total = sum(profile.entries) if profile.is_complete else None
+    # row 0's tail total is the whole profile's total, known only when complete
+    total = defect.rows[0].n_cit_k
     na = h_na(total) if total is not None else None
     na_d = h_na(row_d.n_cit_k) if row_d.n_cit_k is not None else None
     na_d1 = h_na(row_d1.n_cit_k) if row_d1.n_cit_k is not None else None
@@ -438,7 +440,7 @@ def na_ratio_limit(d: int) -> float:
 
 def error_metrics(profile: CitationProfile, report: EstimateReport) -> ErrorMetrics:
     """All published error measures; needs the true total, so full profiles only."""
-    if not profile.is_complete:
+    if not profile.complete:
         raise GroundTruthUnavailable("error metrics need the full profile")
     n_cit = profile.n_cit
     if n_cit == 0:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptyCore, InsufficientTail, RankOutOfRange
-from .profile import ProfileLike
+from .profile import CitationProfile
 
 
 def suffix_h(entries: tuple[int, ...] | list[int], shift: int, complete: bool = True) -> int:
@@ -50,35 +50,36 @@ class CoreIndices:
     d_index: float
 
 
-def h_index(profile: ProfileLike) -> int:
+def h_index(profile: CitationProfile) -> int:
     """Highest rank m with cit_m >= m, or 0 when no rank qualifies."""
-    return suffix_h(profile.entries, 0, profile.is_complete)
+    return suffix_h(profile.citations, 0, profile.complete)
 
 
-def core_sum(profile: ProfileLike, s: int) -> int:
+def core_sum(profile: CitationProfile, s: int) -> int:
     """Total citations up to rank ``s`` (N_cit(s)); core_sum(p, h) = N_cit(h)."""
-    if s < 1 or s > len(profile.entries):
-        raise RankOutOfRange(f"rank s={s} outside 1..{len(profile.entries)}")
-    return sum(profile.entries[:s])
+    if s < 1 or s > profile.p:
+        raise RankOutOfRange(f"rank s={s} outside 1..{profile.p}")
+    return sum(profile.citations[:s])
 
 
-def g_index(profile: ProfileLike) -> int:
+def g_index(profile: CitationProfile) -> int:
     """Largest k with the top-k citation sum >= k^2, searched over k <= p."""
-    entries = profile.entries
-    if not profile.is_complete:
+    entries = profile.citations
+    if not profile.complete:
         raise InsufficientTail(
             len(entries), len(entries) + 1, what="the g-index (needs the full profile)"
         )
-    best = 0
+    # Exact early stop for non-increasing entries: once N(k) < k^2,
+    # cit_{k+1} <= N(k)/k < k, so N(k+1) < k^2 + k < (k+1)^2, and so on.
     running = 0
     for k, value in enumerate(entries, start=1):
         running += value
-        if running >= k * k:
-            best = k
-    return best
+        if running < k * k:
+            return k - 1
+    return len(entries)
 
 
-def compute_core_indices(profile: ProfileLike) -> CoreIndices:
+def compute_core_indices(profile: CitationProfile) -> CoreIndices:
     """All core indices for a profile with h >= 1; raises ``EmptyCore`` otherwise."""
     h = h_index(profile)
     if h == 0:

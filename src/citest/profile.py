@@ -2,8 +2,9 @@
 
 A profile is a non-increasing sequence of non-negative integer citation
 counts.  Loaders accept unsorted input and sort it; zero entries are kept
-(they contribute to ``p`` but to no index).  ``TruncatedProfile`` carries a
-rank prefix for blind estimation, where the tail of the profile is unknown.
+(they contribute to ``p`` but to no index).  A profile whose ``complete``
+flag is false is a rank prefix for blind estimation: the tail of the profile
+is unknown.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass
 from datetime import date
-from typing import IO, Iterable, Union
+from typing import IO, Iterable
 
 from .errors import NegativeCitation, ParseError, RankOutOfRange
 
@@ -26,13 +27,16 @@ class CitationProfile:
 
     ``citations`` is non-increasing with every entry >= 0.  Derived counts:
     ``p`` (publications), ``n_p_plus`` (publications with at least one
-    citation) and ``n_cit`` (total citations).
+    citation) and ``n_cit`` (total citations).  ``complete`` is false when
+    ``citations`` holds only the top ranks of a longer profile, so the
+    derived counts cover the prefix alone.
     """
 
     citations: tuple[int, ...]
     name: str = ""
     source: str = "other"
     snapshot_date: date | None = None
+    complete: bool = True
 
     @property
     def p(self) -> int:
@@ -45,41 +49,6 @@ class CitationProfile:
     @property
     def n_cit(self) -> int:
         return sum(self.citations)
-
-    # Shared protocol with TruncatedProfile so index/estimator code can
-    # consume either.
-    @property
-    def entries(self) -> tuple[int, ...]:
-        return self.citations
-
-    @property
-    def is_complete(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class TruncatedProfile:
-    """The first ``known_rank_count`` ranks of a profile, highest first."""
-
-    head: tuple[int, ...]
-    completeness: str = "prefix-only"  # "full" or "prefix-only"
-    name: str = ""
-    source: str = "other"
-
-    @property
-    def known_rank_count(self) -> int:
-        return len(self.head)
-
-    @property
-    def entries(self) -> tuple[int, ...]:
-        return self.head
-
-    @property
-    def is_complete(self) -> bool:
-        return self.completeness == "full"
-
-
-ProfileLike = Union[CitationProfile, TruncatedProfile]
 
 
 def normalize(
@@ -178,14 +147,14 @@ def load_profile(stream: IO[str], format: str) -> CitationProfile:
     return loaders[format](stream)
 
 
-def truncate_head(profile: CitationProfile, m: int) -> TruncatedProfile:
+def truncate_head(profile: CitationProfile, m: int) -> CitationProfile:
     """Return the first ``m`` ranks of ``profile`` as a blind-estimation head."""
     if m < 0 or m > profile.p:
         raise RankOutOfRange(f"m={m} outside 0..{profile.p}")
-    completeness = "full" if m == profile.p else "prefix-only"
-    return TruncatedProfile(
-        head=profile.citations[:m],
-        completeness=completeness,
+    return CitationProfile(
+        citations=profile.citations[:m],
         name=profile.name,
         source=profile.source,
+        snapshot_date=profile.snapshot_date,
+        complete=profile.complete and m == profile.p,
     )

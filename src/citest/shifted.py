@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyCore, IndexUnderflow, InsufficientTail, RankOutOfRange
 from .indices import suffix_h
-from .profile import ProfileLike
+from .profile import CitationProfile
 
 CASE_TAGS = (
     "case1a",
@@ -86,40 +86,39 @@ class _RankReader:
     ``InsufficientTail`` unless the monotone bound decides the comparison.
     """
 
-    def __init__(self, entries: tuple[int, ...], complete: bool):
-        self.entries = entries
+    def __init__(self, citations: tuple[int, ...], complete: bool):
+        self.citations = citations
         self.complete = complete
         self.max_rank = 0
 
     def _touch(self, rank: int) -> None:
-        self.max_rank = max(self.max_rank, min(rank, len(self.entries)))
+        self.max_rank = max(self.max_rank, min(rank, len(self.citations)))
 
     def value_at(self, rank: int) -> int:
         self._touch(rank)
-        if rank <= len(self.entries):
-            return self.entries[rank - 1]
+        if rank <= len(self.citations):
+            return self.citations[rank - 1]
         if self.complete:
             return 0
-        raise InsufficientTail(len(self.entries), rank, what=f"the value at rank {rank}")
+        raise InsufficientTail(len(self.citations), rank, what=f"the value at rank {rank}")
 
     def equals(self, rank: int, target: int) -> bool:
         """Whether cit_rank == target (target >= 1), certified where possible."""
         self._touch(rank)
-        if rank <= len(self.entries):
-            return self.entries[rank - 1] == target
+        if rank <= len(self.citations):
+            return self.citations[rank - 1] == target
         if self.complete:
             return target == 0
-        if self.entries and self.entries[-1] < target:
+        if self.citations and self.citations[-1] < target:
             return False  # later entries are bounded below target
-        raise InsufficientTail(len(self.entries), rank, what=f"the value at rank {rank}")
+        raise InsufficientTail(len(self.citations), rank, what=f"the value at rank {rank}")
 
 
-def shifted_h(profile: ProfileLike, k: int) -> int:
+def shifted_h(profile: CitationProfile, k: int) -> int:
     """h-index of the suffix cit_{k+1}..cit_p, computed directly."""
-    p = len(profile.entries)
-    if k < 0 or k > p - 1:
-        raise RankOutOfRange(f"shift k={k} outside 0..{p - 1}")
-    return suffix_h(profile.entries, k, profile.is_complete)
+    if k < 0 or k > profile.p - 1:
+        raise RankOutOfRange(f"shift k={k} outside 0..{profile.p - 1}")
+    return suffix_h(profile.citations, k, profile.complete)
 
 
 def _make_row(
@@ -139,56 +138,52 @@ def _make_row(
 class _LadderWalk:
     """Stateful ladder driven by the recurrences, one row at a time."""
 
-    def __init__(self, profile: ProfileLike):
-        self.entries = profile.entries
-        self.complete = profile.is_complete
-        self.reader = _RankReader(self.entries, self.complete)
-        h0 = suffix_h(self.entries, 0, self.complete)
+    def __init__(self, profile: CitationProfile):
+        self.citations = profile.citations
+        self.complete = profile.complete
+        self.reader = _RankReader(self.citations, self.complete)
+        h0 = suffix_h(self.citations, 0, self.complete)
         if h0 == 0:
             raise EmptyCore("h = 0: the shifted ladder is undefined")
         self.reader._touch(h0 + 1)
         self.k = 0
         self.h_k = h0
-        self.n_h_k = sum(self.entries[:h0])
-        self.n_cit_k: int | None = sum(self.entries) if self.complete else None
+        self.n_h_k = sum(self.citations[:h0])
+        self.n_cit_k: int | None = sum(self.citations) if self.complete else None
 
     def delta(self) -> int:
         """Stay/drop indicator for the step k -> k+1."""
         return 1 if self.reader.equals(self.h_k + self.k + 1, self.h_k) else 0
 
-    def row(self, with_delta: bool = True) -> ShiftedRow:
+    def row(self) -> ShiftedRow:
+        """The current row; ``delta_k`` is ``None`` where a prefix cannot certify it."""
         delta: int | None
-        if with_delta:
+        try:
             delta = self.delta()
-        else:
-            try:
-                delta = self.delta()
-            except InsufficientTail:
-                delta = None
+        except InsufficientTail:
+            delta = None
         return _make_row(self.k, self.h_k, self.n_h_k, self.n_cit_k, delta)
 
     def advance(self) -> None:
+        # raises InsufficientTail when a prefix cannot certify the step
         stay = self.delta()
         # when the boundary entry equals h_k it is the value re-entering the core
         self.n_h_k = self.n_h_k - self.reader.value_at(self.k + 1) + (self.h_k if stay else 0)
         if self.n_cit_k is not None:
-            self.n_cit_k -= self.entries[self.k]
+            self.n_cit_k -= self.citations[self.k]
         self.h_k = self.h_k if stay else self.h_k - 1
         self.k += 1
 
 
-def shifted_ladder(profile: ProfileLike, k_max: int) -> list[ShiftedRow]:
+def shifted_ladder(profile: CitationProfile, k_max: int) -> list[ShiftedRow]:
     """Rows 0..k_max via the recurrences; each equals direct recomputation."""
-    p = len(profile.entries)
-    if k_max < 0 or k_max > p - 1:
-        raise RankOutOfRange(f"k_max={k_max} outside 0..{p - 1}")
+    if k_max < 0 or k_max > profile.p - 1:
+        raise RankOutOfRange(f"k_max={k_max} outside 0..{profile.p - 1}")
     walk = _LadderWalk(profile)
-    rows: list[ShiftedRow] = []
-    for k in range(k_max + 1):
-        # the final row's indicator is optional for prefixes
-        rows.append(walk.row(with_delta=(k < k_max)))
-        if k < k_max:
-            walk.advance()
+    rows = [walk.row()]
+    while walk.k < k_max:
+        walk.advance()
+        rows.append(walk.row())
     return rows
 
 
@@ -203,34 +198,33 @@ def _refine_case2(row_d: ShiftedRow, row_d1: ShiftedRow) -> str:
     return f"case{prime}_{second}"
 
 
-def h_defect(profile: ProfileLike) -> DefectAnalysis:
+def h_defect(profile: CitationProfile) -> DefectAnalysis:
     """Classify the profile per the four-case defect definition.
 
     Scans rows k = 0..h.  The first row whose e/h relation flips against
     row 0's fixes d and the case; ties count with row 0's side, so a run may
-    pass through e_k = h_k without ending.  Raises ``InsufficientTail`` when
-    a prefix cannot certify the scan.
+    pass through e_k = h_k without ending.  The scanned rows 0..d+1 are the
+    returned ladder.  Raises ``InsufficientTail`` when a prefix cannot
+    certify the scan.
     """
-    entries = profile.entries
+    entries = profile.citations
     walk = _LadderWalk(profile)
-    rows = [walk.row(with_delta=False)]
+    rows = [walk.row()]
     h0 = rows[0].h_k
     # row-0 side, on exact integers: e_0 >= h_0  <=>  N_h >= 2 h^2
     above = _excess_sq(rows[0]) >= h0 * h0
     d: int | None = None
 
     # rows whose suffix has no cited entries have e_k = h_k = 0 and can never
-    # cross, so the k <= h scan bound is clamped at the last cited rank (a
-    # zero inside a prefix bounds everything after it, so the clamp is
-    # certified there too)
-    positive = sum(1 for v in entries if v > 0)
-    if profile.is_complete or positive < len(entries):
-        k_last = min(h0, positive - 1)
-    else:
-        k_last = h0
+    # cross, so the k <= h scan bound is clamped at the last cited rank.  The
+    # h0 top entries are cited, so that rank is h0 exactly when rank h0+1 is
+    # uncited: a zero (which bounds everything after it, even in a prefix) or
+    # past the end of a complete profile.
+    uncited_next = entries[h0] == 0 if h0 < len(entries) else profile.complete
+    k_last = h0 - 1 if uncited_next else h0
     while walk.k < k_last:
         walk.advance()
-        row = walk.row(with_delta=False)
+        row = walk.row()
         rows.append(row)
         ex, hsq = _excess_sq(row), row.h_k * row.h_k
         crossed = (ex < hsq) if above else (ex > hsq)
@@ -248,15 +242,13 @@ def h_defect(profile: ProfileLike) -> DefectAnalysis:
     else:
         tag = _refine_case2(rows[d], rows[d + 1]) if above else "case4"
 
-    # re-walk rows 0..d+1 to attach stay/drop indicators
-    final_rows = shifted_ladder(profile, min(d + 1, max(k_last, 0)))
-    h_d = final_rows[d].h_k
+    h_d = rows[d].h_k
     return DefectAnalysis(
         d=d,
         case_tag=tag,
         defect_core=entries[:d],
         an_domain=entries[d : d + h_d],
-        rows=tuple(final_rows),
+        rows=tuple(rows[: d + 2]),
         ranks_consumed=walk.reader.max_rank,
     )
 

@@ -211,4 +211,4 @@ def test_criterion_9_blind_sufficiency(fixture_profile):
         assert blind.b_prime == reference.b_prime, name
         assert blind.b_dprime == reference.b_dprime, name
         assert blind.a_est == reference.a_est, name
-    report("criterion 9 (blind estimates bit-identical at rank d+1+h_{d+1}+1)")
+    report("criterion 9 (blind estimates bit-identical at rank d+1+h_{d+1}+1 when d > 0)")

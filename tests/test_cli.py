@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shutil
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -51,6 +52,30 @@ def test_indices_parse_error_exits_2(tmp_path):
     path.write_text("3\nxyz\n")
     code, _ = run("indices", str(path))
     assert code == 2
+
+
+def test_indices_zero_excess_exits_3(tmp_path):
+    path = tmp_path / "flat.txt"
+    path.write_text("3\n3\n3\n")
+    code, out = run("indices", str(path))
+    assert code == 3
+    assert out == ""
+
+
+def test_indices_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"12\n\xff\xfe\n3\n")
+    code, _ = run("indices", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("citest: ") and err.count("\n") == 1
+
+
+def test_estimate_directory_input_exits_2(tmp_path, capsys):
+    code, _ = run("estimate", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("citest: ") and err.count("\n") == 1
 
 
 def test_indices_csv_output_roundtrip():
@@ -138,6 +163,24 @@ def test_table_2_diff_all_ok():
     assert code == 0
     assert "FAIL" not in out
     assert "skipped cells" in out
+
+
+def test_table_diff_mismatch_exits_1(tmp_path):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    garfield = fixtures / "garfield.csv"
+    lines = garfield.read_text(encoding="utf-8").splitlines(keepends=True)
+    # the first data row holds the metadata and the top citation count
+    row = next(i for i, line in enumerate(lines) if line.startswith("garfield,"))
+    cells = lines[row].rstrip("\n").split(",")
+    cells[-1] = str(int(cells[-1]) + 500)
+    lines[row] = ",".join(cells) + "\n"
+    garfield.write_text("".join(lines), encoding="utf-8")
+    code, out = run("table", "2", "--fixtures", str(fixtures), "--diff")
+    assert code == 1
+    fails = [r for r in csv.reader(io.StringIO(out)) if r and r[-1] == "FAIL"]
+    assert sorted(r[1] for r in fails) == ["a", "b", "b_dprime", "b_prime", "j_d", "j_d1"]
+    assert {r[0] for r in fails} == {"garfield"}
 
 
 def test_table_5_diff_all_ok():

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from citest import (
     DegenerateCore,
     GroundTruthUnavailable,
+    InsufficientTail,
     WrongCase,
     brown_interval,
     compute_core_indices,
@@ -274,6 +275,25 @@ def test_blind_estimate_matches_full(values):
     assert blind.b_prime == full.b_prime
     assert blind.b_dprime == full.b_dprime
     assert blind.a_est == full.a_est
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [("white", 22), ("kalaj", 38), ("monkova", 28), ("mutafchiev", 19), ("spalevic", 54)],
+)
+def test_blind_prefix_for_d0_fixtures(fixture_profile, name, k):
+    # with d = 0, certifying that no crossing occurs reads past rank
+    # d+1+h_{d+1}+1; K is the smallest prefix that certifies
+    p = fixture_profile(name)
+    assert h_defect(p).d == 0
+    full = estimate_report(p)
+    blind = estimate_report(truncate_head(p, k))
+    for field in ("d", "case_tag", "j_d", "j_d1", "a_est", "weights", "b_prime", "b_dprime", "b_est"):
+        assert getattr(blind, field) == getattr(full, field), field
+    assert blind.ranks_consumed <= k
+    with pytest.raises(InsufficientTail) as err:
+        estimate_report(truncate_head(p, k - 1))
+    assert err.value.needed_rank > k - 1
 
 
 def test_brown_interval_constant_term_only():

@@ -62,6 +62,16 @@ def test_core_sum_out_of_range():
         core_sum(p, 0)
 
 
+def brute_force_g(values):
+    """Independent oracle: test every k <= p against the definition."""
+    return max((k for k in range(1, len(values) + 1) if sum(values[:k]) >= k * k), default=0)
+
+
+@given(profiles(min_size=0, max_size=120, max_value=300, nonzero_head=False))
+def test_g_matches_brute_force(values):
+    assert g_index(normalize(list(values))) == brute_force_g(values)
+
+
 def test_g_examples():
     assert g_index(normalize([1, 1, 1])) == 1
     assert g_index(normalize([10, 5, 3, 1])) == 4

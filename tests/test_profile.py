@@ -124,16 +124,20 @@ def test_fixture_totals_match_published(fixture_profile):
 def test_truncate_head_prefix():
     p = normalize([9, 8, 2, 1])
     head = truncate_head(p, 2)
-    assert head.head == (9, 8)
-    assert head.completeness == "prefix-only"
-    assert not head.is_complete
+    assert head.citations == (9, 8)
+    assert not head.complete
 
 
 def test_truncate_head_full():
     p = normalize([9, 8, 2, 1])
     head = truncate_head(p, 4)
-    assert head.completeness == "full"
-    assert head.head == p.citations
+    assert head.complete
+    assert head.citations == p.citations
+
+
+def test_truncate_head_of_prefix_stays_incomplete():
+    head = truncate_head(normalize([9, 8, 2, 1]), 3)
+    assert not truncate_head(head, head.p).complete
 
 
 def test_truncate_head_out_of_range():
@@ -145,4 +149,4 @@ def test_truncate_head_out_of_range():
 @given(profiles(min_size=0, nonzero_head=False))
 def test_truncate_full_length_keeps_sequence(values):
     p = normalize(list(values))
-    assert truncate_head(p, p.p).head == p.citations
+    assert truncate_head(p, p.p).citations == p.citations
