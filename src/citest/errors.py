@@ -17,12 +17,15 @@ class NegativeCitation(CitestError, ValueError):
 
 
 class ParseError(CitestError, ValueError):
-    """Input stream could not be parsed under the declared format."""
+    """Input stream could not be parsed under the declared format.
 
-    def __init__(self, line: int, reason: str):
+    ``line`` is the 1-based file line, or ``None`` for input without lines.
+    """
+
+    def __init__(self, line: int | None, reason: str):
         self.line = line
         self.reason = reason
-        super().__init__(f"line {line}: {reason}")
+        super().__init__(reason if line is None else f"line {line}: {reason}")
 
 
 class RankOutOfRange(CitestError, IndexError):

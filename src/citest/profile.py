@@ -10,10 +10,10 @@ is unknown.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 from typing import IO, Iterable
 
 from .errors import NegativeCitation, ParseError, RankOutOfRange
@@ -42,11 +42,13 @@ class CitationProfile:
     def p(self) -> int:
         return len(self.citations)
 
-    @property
+    # summed on first access and kept in the instance __dict__; equality and
+    # hashing still read only the fields
+    @cached_property
     def n_p_plus(self) -> int:
         return sum(1 for c in self.citations if c >= 1)
 
-    @property
+    @cached_property
     def n_cit(self) -> int:
         return sum(self.citations)
 
@@ -65,7 +67,7 @@ def normalize(
     entries = []
     for i, value in enumerate(raw):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(i + 1, f"citation count must be an integer, got {value!r}")
+            raise ParseError(None, f"citation at position {i} must be an integer, got {value!r}")
         if value < 0:
             raise NegativeCitation(i, value)
         entries.append(value)
@@ -99,26 +101,36 @@ def _load_lines(stream: IO[str]) -> CitationProfile:
 
 def _load_csv(stream: IO[str]) -> CitationProfile:
     # Comment lines (leading '#') may precede the header; fixture files use
-    # them for provenance notes.
-    body = "\n".join(line for line in stream if not line.lstrip().startswith("#"))
-    reader = csv.DictReader(io.StringIO(body))
-    if reader.fieldnames is None or "citations" not in reader.fieldnames:
-        raise ParseError(1, "CSV header must contain a 'citations' column")
+    # them for provenance notes.  They reach the reader as blank lines, so
+    # ``line_num`` stays the file line.
+    reader = csv.reader("" if line.lstrip().startswith("#") else line for line in stream)
+    rows = (row for row in reader if row)
+    # a repeated column name resolves to its last occurrence
+    columns = {column: i for i, column in enumerate(next(rows, []))}
+    if "citations" not in columns:
+        raise ParseError(reader.line_num or 1, "CSV header must contain a 'citations' column")
+
+    def cell(row: list[str], column: str) -> str:
+        i = columns.get(column)
+        return row[i].strip() if i is not None and i < len(row) else ""
+
     values: list[int] = []
-    name, source, snapshot = "", "other", None
-    for rowno, row in enumerate(reader, start=2):
-        cell = (row.get("citations") or "").strip()
-        if rowno == 2:  # metadata, when present, sits on the first data row
-            name = (row.get("name") or "").strip()
-            source = (row.get("source") or "other").strip() or "other"
-            snapshot = _parse_date((row.get("date") or "").strip())
-        if not cell:
+    meta: list[str] = []  # metadata, when present, sits on the first data row
+    for row in rows:
+        meta = meta or row
+        text = cell(row, "citations")
+        if not text:
             continue
         try:
-            values.append(int(cell))
+            values.append(int(text))
         except ValueError:
-            raise ParseError(rowno, f"expected a decimal integer, got {cell!r}") from None
-    return normalize(values, name=name, source=source, snapshot_date=snapshot)
+            raise ParseError(reader.line_num, f"expected a decimal integer, got {text!r}") from None
+    return normalize(
+        values,
+        name=cell(meta, "name"),
+        source=cell(meta, "source") or "other",
+        snapshot_date=_parse_date(cell(meta, "date")),
+    )
 
 
 def _load_json(stream: IO[str]) -> CitationProfile:

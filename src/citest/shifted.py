@@ -7,15 +7,20 @@ removed.  Rows are produced by the constant-work recurrences
     N_h^{k+1} = N_h^{k} - cit_{k+1} + delta_k * cit_{h_k+k+1}
 
 and always agree with direct recomputation from the suffix (the oracle the
-test suite enforces).  The defect d is the removal depth at which the excess
+test suite enforces).  The stay/drop indicator delta_k comes from one read of
+rank h_k+k+1 per row.  The defect d is the removal depth at which the excess
 e_k first crosses the shifted index h_k; the crossing direction fixes the
-case tag consumed by the estimator module.
+case tag consumed by the estimator module.  A blind scan of a p-rank prefix
+reads ranks up to min(p, h_k+k+1) of the last row it scans, reported as
+``ranks_consumed``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .errors import EmptyCore, IndexUnderflow, InsufficientTail, RankOutOfRange
 from .indices import suffix_h
@@ -77,43 +82,6 @@ class DefectAnalysis:
         return self.rows[self.d + 1]
 
 
-class _RankReader:
-    """Rank-indexed access to a (possibly partial) citation sequence.
-
-    Records the highest rank consulted so blind estimation can report how
-    much of the prefix it consumed.  Reads past the end of a complete
-    profile yield 0; past the end of a prefix they raise
-    ``InsufficientTail`` unless the monotone bound decides the comparison.
-    """
-
-    def __init__(self, citations: tuple[int, ...], complete: bool):
-        self.citations = citations
-        self.complete = complete
-        self.max_rank = 0
-
-    def _touch(self, rank: int) -> None:
-        self.max_rank = max(self.max_rank, min(rank, len(self.citations)))
-
-    def value_at(self, rank: int) -> int:
-        self._touch(rank)
-        if rank <= len(self.citations):
-            return self.citations[rank - 1]
-        if self.complete:
-            return 0
-        raise InsufficientTail(len(self.citations), rank, what=f"the value at rank {rank}")
-
-    def equals(self, rank: int, target: int) -> bool:
-        """Whether cit_rank == target (target >= 1), certified where possible."""
-        self._touch(rank)
-        if rank <= len(self.citations):
-            return self.citations[rank - 1] == target
-        if self.complete:
-            return target == 0
-        if self.citations and self.citations[-1] < target:
-            return False  # later entries are bounded below target
-        raise InsufficientTail(len(self.citations), rank, what=f"the value at rank {rank}")
-
-
 def shifted_h(profile: CitationProfile, k: int) -> int:
     """h-index of the suffix cit_{k+1}..cit_p, computed directly."""
     if k < 0 or k > profile.p - 1:
@@ -121,70 +89,59 @@ def shifted_h(profile: CitationProfile, k: int) -> int:
     return suffix_h(profile.citations, k, profile.complete)
 
 
-def _make_row(
-    k: int,
-    h_k: int,
-    n_h_k: int,
-    n_cit_k: int | None,
-    delta_k: int | None,
-) -> ShiftedRow:
-    if h_k <= 0:
-        raise IndexUnderflow(f"suffix at shift {k} has no cited entries")
-    e_k = math.sqrt(n_h_k - h_k * h_k)
-    q_k = 2.0 * n_h_k / (h_k * h_k) - 1.0
-    return ShiftedRow(k=k, h_k=h_k, n_h_k=n_h_k, e_k=e_k, q_k=q_k, n_cit_k=n_cit_k, delta_k=delta_k)
+def _step(h_k: int, n_h_k: int, delta_k: int, cit_next: int) -> tuple[int, int]:
+    """(h_{k+1}, N_h^{k+1}) from row k, removing cit_{k+1} = ``cit_next``."""
+    # on a stay the boundary entry, equal to h_k, re-enters the core.  h_k is
+    # reused rather than rebuilt as h_k - 1 + delta_k, which would allocate a
+    # new int per row once h exceeds the small-int cache.
+    if delta_k:
+        return h_k, n_h_k - cit_next + h_k
+    return h_k - 1, n_h_k - cit_next
 
 
-class _LadderWalk:
-    """Stateful ladder driven by the recurrences, one row at a time."""
+def _walk(profile: CitationProfile) -> Iterator[ShiftedRow]:
+    """Ladder rows 0, 1, 2, ... by the recurrences.
 
-    def __init__(self, profile: CitationProfile):
-        self.citations = profile.citations
-        self.complete = profile.complete
-        self.reader = _RankReader(self.citations, self.complete)
-        h0 = suffix_h(self.citations, 0, self.complete)
-        if h0 == 0:
-            raise EmptyCore("h = 0: the shifted ladder is undefined")
-        self.reader._touch(h0 + 1)
-        self.k = 0
-        self.h_k = h0
-        self.n_h_k = sum(self.citations[:h0])
-        self.n_cit_k: int | None = sum(self.citations) if self.complete else None
-
-    def delta(self) -> int:
-        """Stay/drop indicator for the step k -> k+1."""
-        return 1 if self.reader.equals(self.h_k + self.k + 1, self.h_k) else 0
-
-    def row(self) -> ShiftedRow:
-        """The current row; ``delta_k`` is ``None`` where a prefix cannot certify it."""
-        delta: int | None
-        try:
-            delta = self.delta()
-        except InsufficientTail:
-            delta = None
-        return _make_row(self.k, self.h_k, self.n_h_k, self.n_cit_k, delta)
-
-    def advance(self) -> None:
-        # raises InsufficientTail when a prefix cannot certify the step
-        stay = self.delta()
-        # when the boundary entry equals h_k it is the value re-entering the core
-        self.n_h_k = self.n_h_k - self.reader.value_at(self.k + 1) + (self.h_k if stay else 0)
-        if self.n_cit_k is not None:
-            self.n_cit_k -= self.citations[self.k]
-        self.h_k = self.h_k if stay else self.h_k - 1
-        self.k += 1
+    Each row reads rank h_k+k+1 once for its ``delta_k``.  Where a prefix
+    cannot certify it, the row carries ``None`` and asking for the next row
+    raises ``InsufficientTail``.
+    """
+    citations = profile.citations
+    known = len(citations)
+    h_k = suffix_h(citations, 0, profile.complete)
+    if h_k == 0:
+        raise EmptyCore("h = 0: the shifted ladder is undefined")
+    n_h_k = sum(citations[:h_k])
+    n_cit_k = profile.n_cit if profile.complete else None
+    k = 0
+    while True:
+        if h_k <= 0:
+            raise IndexUnderflow(f"suffix at shift {k} has no cited entries")
+        rank = h_k + k + 1
+        delta_k: int | None
+        if rank <= known:
+            delta_k = 1 if citations[rank - 1] == h_k else 0
+        elif profile.complete or citations[-1] < h_k:
+            delta_k = 0  # every later entry is below h_k
+        else:
+            delta_k = None
+        e_k = math.sqrt(n_h_k - h_k * h_k)
+        q_k = 2.0 * n_h_k / (h_k * h_k) - 1.0
+        yield ShiftedRow(k, h_k, n_h_k, e_k, q_k, n_cit_k, delta_k)
+        if delta_k is None:
+            raise InsufficientTail(known, rank, what=f"the value at rank {rank}")
+        cit_next = citations[k]
+        h_k, n_h_k = _step(h_k, n_h_k, delta_k, cit_next)
+        if n_cit_k is not None:
+            n_cit_k -= cit_next
+        k += 1
 
 
 def shifted_ladder(profile: CitationProfile, k_max: int) -> list[ShiftedRow]:
     """Rows 0..k_max via the recurrences; each equals direct recomputation."""
     if k_max < 0 or k_max > profile.p - 1:
         raise RankOutOfRange(f"k_max={k_max} outside 0..{profile.p - 1}")
-    walk = _LadderWalk(profile)
-    rows = [walk.row()]
-    while walk.k < k_max:
-        walk.advance()
-        rows.append(walk.row())
-    return rows
+    return list(islice(_walk(profile), k_max + 1))
 
 
 def _excess_sq(row: ShiftedRow) -> int:
@@ -208,8 +165,8 @@ def h_defect(profile: CitationProfile) -> DefectAnalysis:
     certify the scan.
     """
     entries = profile.citations
-    walk = _LadderWalk(profile)
-    rows = [walk.row()]
+    walk = _walk(profile)
+    rows = [next(walk)]
     h0 = rows[0].h_k
     # row-0 side, on exact integers: e_0 >= h_0  <=>  N_h >= 2 h^2
     above = _excess_sq(rows[0]) >= h0 * h0
@@ -222,9 +179,7 @@ def h_defect(profile: CitationProfile) -> DefectAnalysis:
     # past the end of a complete profile.
     uncited_next = entries[h0] == 0 if h0 < len(entries) else profile.complete
     k_last = h0 - 1 if uncited_next else h0
-    while walk.k < k_last:
-        walk.advance()
-        row = walk.row()
+    for row in islice(walk, k_last):
         rows.append(row)
         ex, hsq = _excess_sq(row), row.h_k * row.h_k
         crossed = (ex < hsq) if above else (ex > hsq)
@@ -243,13 +198,16 @@ def h_defect(profile: CitationProfile) -> DefectAnalysis:
         tag = _refine_case2(rows[d], rows[d + 1]) if above else "case4"
 
     h_d = rows[d].h_k
+    # h_{k+1} >= h_k - 1, so h_k + k never decreases along the ladder: the
+    # last scanned row read the highest rank, h_k + k + 1
+    last = rows[-1]
     return DefectAnalysis(
         d=d,
         case_tag=tag,
         defect_core=entries[:d],
         an_domain=entries[d : d + h_d],
         rows=tuple(rows[: d + 2]),
-        ranks_consumed=walk.reader.max_rank,
+        ranks_consumed=min(profile.p, last.h_k + last.k + 1),
     )
 
 
@@ -263,11 +221,6 @@ def check_transition(row_k: ShiftedRow, cit_next: int) -> str:
     """
     if row_k.delta_k is None:
         raise ValueError("row does not carry the stay/drop indicator delta_k")
-    e_sq = row_k.n_h_k - row_k.h_k * row_k.h_k
-    if row_k.delta_k == 1:
-        next_e_sq = e_sq - cit_next + row_k.h_k
-        next_h = row_k.h_k
-    else:
-        next_e_sq = e_sq - cit_next + 2 * row_k.h_k - 1
-        next_h = row_k.h_k - 1
+    next_h, next_n_h = _step(row_k.h_k, row_k.n_h_k, row_k.delta_k, cit_next)
+    next_e_sq = next_n_h - next_h * next_h
     return "below" if next_e_sq < next_h * next_h else "at_or_above"

@@ -54,6 +54,16 @@ def test_indices_parse_error_exits_2(tmp_path):
     assert code == 2
 
 
+def test_indices_json_element_error_names_position(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"citations": [1, 2, "x"]}')
+    code, _ = run("indices", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "citest: bad input: citation at position 2 must be an integer, got 'x'\n"
+    assert "line" not in err
+
+
 def test_indices_zero_excess_exits_3(tmp_path):
     path = tmp_path / "flat.txt"
     path.write_text("3\n3\n3\n")

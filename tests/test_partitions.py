@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -134,6 +135,23 @@ def test_moment_estimates_track_exact_values():
 def test_moment_estimate_2500():
     mean_est, _ = durfee_moment_estimates(2500)
     assert abs(mean_est - (0.540446395 * 50 + 0.085691 + 0.0374788 / 50)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, literal_err, corrected_err",
+    [(500, -5.4e-5, -9.3e-5), (2000, 5.5e-5, -2.3e-5), (5000, 1.15e-4, -9.6e-6)],
+)
+def test_moment_mean_coefficient_drift(n, literal_err, corrected_err):
+    # the fitted mean keeps its published coefficient 0.540446395; the mode
+    # coefficient 0.5404446395 suggests a dropped '4' (refdata records it).
+    # Neither reading is closer at every n: the literal wins at n = 500.
+    exact = float(count_by_durfee(n).mean)
+    root = math.sqrt(n)
+    literal, _ = durfee_moment_estimates(n)
+    corrected = 0.5404446395 * root + 0.085691 + 0.0374788 / root
+    assert literal - exact == pytest.approx(literal_err, abs=5e-7)
+    assert corrected - exact == pytest.approx(corrected_err, abs=5e-7)
+    assert literal - corrected == pytest.approx(1.7555e-6 * root, rel=1e-6)
 
 
 def test_mean_and_variance_are_exact_rationals():

@@ -57,6 +57,13 @@ def test_normalize_idempotent(values):
     assert second.citations == first.citations
 
 
+def test_cached_sums_leave_equality_and_hash_alone():
+    p = normalize([2, 5, 3])
+    assert (p.n_cit, p.n_p_plus) == (10, 3)
+    q = normalize([3, 2, 5])
+    assert p == q and hash(p) == hash(q)
+
+
 def test_load_lines():
     p = load_profile(io.StringIO("3\n1\n2\n"), "lines")
     assert p.citations == (3, 2, 1)
@@ -93,9 +100,41 @@ def test_load_csv_plain_single_column():
     assert p.citations == (5, 3, 1)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("# one\n# two\ncitations\n3\nxyz\n", 5),  # comment lines count
+        ("citations\n5\n\n\n4\nz\n", 6),  # blank lines count
+    ],
+)
+def test_load_csv_error_names_file_line(text, line):
+    with pytest.raises(ParseError) as err:
+        load_profile(io.StringIO(text), "csv")
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: expected a decimal integer")
+
+
+def test_load_csv_repeated_column_uses_last():
+    p = load_profile(io.StringIO("citations,x,citations\n1,2,7\n9\n5,6,4\n"), "csv")
+    assert p.citations == (7, 4)
+
+
+def test_load_json_element_error_has_no_line():
+    with pytest.raises(ParseError) as err:
+        load_profile(io.StringIO('{"citations": [1, 2, "x"]}'), "json")
+    assert err.value.line is None
+    assert str(err.value) == "citation at position 2 must be an integer, got 'x'"
+
+
 def test_load_csv_requires_header():
     with pytest.raises(ParseError):
         load_profile(io.StringIO("counts\n5\n"), "csv")
+
+
+def test_load_csv_header_error_names_header_line():
+    with pytest.raises(ParseError) as err:
+        load_profile(io.StringIO("# note\n\ncounts\n5\n"), "csv")
+    assert err.value.line == 3
 
 
 def test_garfield_fixture_totals(fixture_profile):
