@@ -40,9 +40,7 @@ from .estimators import (
     RuleOfThumbSet,
     brown_interval,
     error_metrics,
-    estimate_A,
     estimate_A_quick,
-    estimate_B,
     estimate_report,
     h_na,
     interval_I,

@@ -49,8 +49,6 @@ EXIT_FIXTURES = 6
 def _fmt(value, precision: int) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -63,8 +61,15 @@ def _fmt(value, precision: int) -> str:
 def _load(path: str, fmt: str | None):
     suffixes = {".json": "json", ".csv": "csv"}
     fmt = fmt or suffixes.get(Path(path).suffix.lower(), "lines")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return load_profile(fh, fmt)
+
+
+def _emit_table(rows, precision, out) -> None:
+    writer = csv.writer(out)
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        writer.writerow(_fmt(v, precision) for v in row.values())
 
 
 def _emit_row(row: dict, style: str, precision: int, out) -> None:
@@ -77,9 +82,7 @@ def _emit_row(row: dict, style: str, precision: int, out) -> None:
         json.dump(serializable, out, indent=2, sort_keys=False)
         out.write("\n")
     elif style == "csv":
-        writer = csv.writer(out)
-        writer.writerow(row.keys())
-        writer.writerow(_fmt(v, precision) for v in row.values())
+        _emit_table([row], precision, out)
     else:
         width = max(len(k) for k in row)
         for k, v in row.items():
@@ -204,11 +207,7 @@ def _load_fixture_profiles(directory: str, names: list[str]):
     missing = [n for n in names if not (root / refdata.FIXTURE_FILES[n]).exists()]
     if missing:
         raise FileNotFoundError(", ".join(sorted(missing)))
-    profiles = {}
-    for n in names:
-        with open(root / refdata.FIXTURE_FILES[n], "r", encoding="utf-8") as fh:
-            profiles[n] = load_profile(fh, "csv")
-    return profiles
+    return {n: _load(str(root / refdata.FIXTURE_FILES[n]), "csv") for n in names}
 
 
 def _table1_row(name, profile, precision):
@@ -251,12 +250,12 @@ def _table2_row(name, profile, precision):
         "e_d": defect.row_d.e_k,
         "q_d": defect.row_d.q_k,
         "j_d": (report.j_d.lo, report.j_d.hi),
-        "j_d_mean": report.mean_j_d,
+        "j_d_mean": report.j_d.midpoint,
         "h_d1": defect.row_d1.h_k,
         "e_d1": defect.row_d1.e_k,
         "q_d1": defect.row_d1.q_k,
         "j_d1": (report.j_d1.lo, report.j_d1.hi),
-        "j_d1_mean": report.mean_j_d1,
+        "j_d1_mean": report.j_d1.midpoint,
         "a": report.a_est,
         "b_prime": report.b_prime,
         "b_dprime": report.b_dprime,
@@ -289,13 +288,6 @@ def _diff_cell(got, expected):
         deltas = [abs(g - v) for g, v in zip(got, value)]
         return max(deltas) <= tol, max(deltas)
     return abs(got - value) <= tol, abs(got - value)
-
-
-def _emit_table(rows, precision, out) -> None:
-    writer = csv.writer(out)
-    writer.writerow(rows[0].keys())
-    for row in rows:
-        writer.writerow(_fmt(v, precision) for v in row.values())
 
 
 def _diff_report(table_id, rows, out) -> bool:
@@ -353,13 +345,23 @@ def cmd_table(args) -> int:
 
 # ------------------------------------------------------------- driver
 
+def _precision(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="citest",
         description="citation indices, total-citation estimators, partition statistics",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=6,
+    common.add_argument("--precision", type=_precision, default=6,
                         help="significant digits for real-valued output")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -56,29 +56,25 @@ def h_na(n_cit: int | float) -> float:
     return DURFEE_MODE_COEFF * math.sqrt(n_cit)
 
 
+def _scaled_interval(center: float, ratio: float) -> Interval:
+    base = INV_COEFF * center
+    return Interval((base * (1.0 - ratio)) ** 2, (base * (1.0 + ratio)) ** 2)
+
+
 def interval_I(h_val: int, q_val: float, e_val: float) -> Interval:
     """The inverted square-root-law interval around a (h, q, e) triple."""
     if e_val <= 0.0:
         raise DegenerateCore("e = 0: every core entry equals h, the interval collapses")
-    ratio = q_val / e_val
-    base = INV_COEFF * h_val
-    return Interval((base * (1.0 - ratio)) ** 2, (base * (1.0 + ratio)) ** 2)
+    return _scaled_interval(h_val, q_val / e_val)
 
 
 def _head_sum(profile: CitationProfile, k: int) -> int:
     return sum(profile.citations[:k])
 
 
-def interval_J(profile: CitationProfile, k: int, ladder_row: ShiftedRow) -> Interval:
-    """I_k translated by the head sum cit_1 + ... + cit_k."""
-    if ladder_row.k != k:
-        raise ValueError(f"ladder row is for k={ladder_row.k}, not k={k}")
-    return interval_I(ladder_row.h_k, ladder_row.q_k, ladder_row.e_k).shift(_head_sum(profile, k))
-
-
-def _scaled_interval(center: float, ratio: float) -> Interval:
-    base = INV_COEFF * center
-    return Interval((base * (1.0 - ratio)) ** 2, (base * (1.0 + ratio)) ** 2)
+def interval_J(profile: CitationProfile, row: ShiftedRow) -> Interval:
+    """I_k of ladder row k translated by the head sum cit_1 + ... + cit_k."""
+    return interval_I(row.h_k, row.q_k, row.e_k).shift(_head_sum(profile, row.k))
 
 
 def _scaled_mean(center: float, ratio: float) -> float:
@@ -142,7 +138,9 @@ class CaseWeights:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Every quantity the estimation pipeline produces for one profile."""
+    """Every quantity the estimation pipeline produces for one profile: I and J
+    at ladder rows d and d+1 (an interval's mean is its ``midpoint``), A', A,
+    and B', B'', B with the case weights (B'/B'' are None in cases 1b, 3a, 3b)."""
 
     d: int
     case_tag: str
@@ -153,10 +151,6 @@ class EstimateReport:
     i_d1: Interval
     j_d: Interval
     j_d1: Interval
-    mean_i_d: float
-    mean_i_d1: float
-    mean_j_d: float
-    mean_j_d1: float
     a_prime: float
     a_est: float
     weights: CaseWeights
@@ -166,22 +160,6 @@ class EstimateReport:
     head_sum_d: int
     head_sum_d1: int
     ranks_consumed: int
-
-    @property
-    def alpha_d(self) -> float | None:
-        return self.weights.alpha_d
-
-    @property
-    def beta_d(self) -> float | None:
-        return self.weights.beta_d
-
-    @property
-    def alpha_d1(self) -> float | None:
-        return self.weights.alpha_d1
-
-    @property
-    def beta_d1(self) -> float | None:
-        return self.weights.beta_d1
 
 
 @dataclass(frozen=True)
@@ -210,12 +188,6 @@ def _require_rows(defect: DefectAnalysis) -> tuple[ShiftedRow, ShiftedRow]:
     return defect.rows[defect.d], defect.rows[defect.d + 1]
 
 
-def estimate_A(profile: CitationProfile, defect: DefectAnalysis) -> tuple[float, float]:
-    """Midpoint estimator: A' from I-interval means, A from J-interval means."""
-    report = estimate_report(profile, defect)
-    return report.a_prime, report.a_est
-
-
 def estimate_A_quick(defect: DefectAnalysis, head: tuple[int, ...] | list[int]) -> float:
     """Rule-of-thumb form of A for case-2 profiles.
 
@@ -237,18 +209,6 @@ def estimate_A_quick(defect: DefectAnalysis, head: tuple[int, ...] | list[int]) 
 
 def _weighted(lo: float, hi: float, weight_hi: float) -> float:
     return (1.0 - weight_hi) * lo + weight_hi * hi
-
-
-def estimate_B(
-    profile: CitationProfile, defect: DefectAnalysis
-) -> tuple[float | None, float | None, float, CaseWeights]:
-    """Weight-based estimator B with its per-case bound selection.
-
-    Returns (B', B'', B, weights).  In cases 1b, 3a and 3b a single interval
-    carries the estimate and B'/B'' are ``None``.
-    """
-    report = estimate_report(profile, defect)
-    return report.b_prime, report.b_dprime, report.b_est, report.weights
 
 
 def _estimate_B(
@@ -350,10 +310,6 @@ def estimate_report(
         i_d1=i_d1,
         j_d=j_d,
         j_d1=j_d1,
-        mean_i_d=i_d.midpoint,
-        mean_i_d1=i_d1.midpoint,
-        mean_j_d=j_d.midpoint,
-        mean_j_d1=j_d1.midpoint,
         a_prime=a_prime,
         a_est=a_est,
         weights=weights,
@@ -451,7 +407,7 @@ def error_metrics(profile: CitationProfile, report: EstimateReport) -> ErrorMetr
         delta_2=(variants.iq_mean - n_cit) / n_cit,
         delta_3=(variants.ir_mean - n_cit) / n_cit,
         delta_4=(variants.iq_prime_mean - n_cit) / n_cit,
-        delta_d=(n_cit - report.mean_j_d) / n_cit,
+        delta_d=(n_cit - report.j_d.midpoint) / n_cit,
         cap_delta_a=n_cit - report.a_est,
         cap_delta_b=n_cit - report.b_est,
         delta_a=(n_cit - report.a_est) / n_cit,

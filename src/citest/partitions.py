@@ -138,11 +138,13 @@ def count_by_durfee(n: int) -> DurfeeDistribution:
     coeffs = [1] + [0] * n
     d = 1
     while d * d <= n:
-        # multiply by 1/(1-x^d)^2: two prefix-sum passes with stride d
+        # multiply by 1/(1-x^d)^2: two prefix-sum passes with stride d; this
+        # and every later stage read no coefficient past n - d^2
+        top = n - d * d
         for _ in range(2):
-            for i in range(d, n + 1):
+            for i in range(d, top + 1):
                 coeffs[i] += coeffs[i - d]
-        counts[d] = coeffs[n - d * d]
+        counts[d] = coeffs[top]
         d += 1
 
     total = sum(counts.values())

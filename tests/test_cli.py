@@ -5,6 +5,8 @@ import shutil
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from citest.cli import main
 
 FIXTURES = str(Path(__file__).parent / "fixtures")
@@ -86,6 +88,35 @@ def test_estimate_directory_input_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("citest: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suffix, text", [
+    (".csv", "name,citations\ntoy,9\n,5\n,5\n,2\n"),
+    (".json", '{"name": "toy", "citations": [9, 5, 5, 2]}'),
+    (".txt", "9\n5\n5\n2\n"),
+], ids=["csv", "json", "lines"])
+def test_input_with_byte_order_mark_reads_as_without(tmp_path, suffix, text):
+    plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    code, out = run("indices", str(plain))
+    assert code == 0
+    assert run("indices", str(marked)) == (code, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["indices", f"{FIXTURES}/garfield.csv"],
+    ["estimate", f"{FIXTURES}/garfield.csv"],
+    ["table", "8"],
+    ["partition", "durfee-dist", "10"],
+], ids=["indices", "estimate", "table", "partition"])
+def test_negative_precision_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--precision", "-1")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --precision: must be >= 0, got -1" in err
+    assert "Traceback" not in err
 
 
 def test_indices_csv_output_roundtrip():

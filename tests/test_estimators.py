@@ -11,9 +11,7 @@ from citest import (
     brown_interval,
     compute_core_indices,
     error_metrics,
-    estimate_A,
     estimate_A_quick,
-    estimate_B,
     estimate_report,
     h_defect,
     h_index,
@@ -62,14 +60,14 @@ def test_interval_J_zero_shift_equals_I():
     p = normalize([9, 8, 7, 3, 1])
     rows = shifted_ladder(p, 1)
     band_i = interval_I(rows[0].h_k, rows[0].q_k, rows[0].e_k)
-    band_j = interval_J(p, 0, rows[0])
+    band_j = interval_J(p, rows[0])
     assert band_j.lo == band_i.lo and band_j.hi == band_i.hi
 
 
 def test_interval_J_einstein(fixture_profile):
     p = fixture_profile("einstein")
     rows = shifted_ladder(p, 59)
-    band = interval_J(p, 59, rows[59])
+    band = interval_J(p, rows[59])
     assert abs(band.lo - 161903.20) < 0.5
     assert abs(band.hi - 165495.23) < 0.5
 
@@ -77,7 +75,7 @@ def test_interval_J_einstein(fixture_profile):
 def test_interval_J_garfield_26(fixture_profile):
     p = fixture_profile("garfield")
     rows = shifted_ladder(p, 26)
-    band = interval_J(p, 26, rows[26])
+    band = interval_J(p, rows[26])
     assert abs(band.lo - 11019.8) < 1.0
     assert abs(band.hi - 11872.0) < 1.0
 
@@ -89,7 +87,7 @@ def test_interval_J_translates_by_head_sum(values):
     rows = shifted_ladder(p, 1)
     assume(rows[1].n_h_k > rows[1].h_k ** 2)
     band_i = interval_I(rows[1].h_k, rows[1].q_k, rows[1].e_k)
-    band_j = interval_J(p, 1, rows[1])
+    band_j = interval_J(p, rows[1])
     head = p.citations[0]
     assert band_j.lo == band_i.lo + head
     assert band_j.hi == band_i.hi + head
@@ -122,22 +120,21 @@ def test_variant_means_equal_midpoints(values):
 
 def test_estimate_A_garfield(fixture_profile):
     p = fixture_profile("garfield")
-    defect = h_defect(p)
-    a_prime, a_est = estimate_A(p, defect)
+    a_est = estimate_report(p, h_defect(p)).a_est
     assert abs(a_est - 11410.0) < 1.5
     assert abs((p.n_cit - a_est) - 105.0) < 1.5
 
 
 def test_estimate_A_meyer(fixture_profile):
     p = fixture_profile("meyer")
-    _, a_est = estimate_A(p, h_defect(p))
+    a_est = estimate_report(p, h_defect(p)).a_est
     assert abs(a_est - 48907.5) < 5.0
     assert round((p.n_cit - a_est) / p.n_cit, 3) == 0.004
 
 
 def test_estimate_A_einstein(fixture_profile):
     p = fixture_profile("einstein")
-    _, a_est = estimate_A(p, h_defect(p))
+    a_est = estimate_report(p, h_defect(p)).a_est
     assert abs(a_est - 163876.5) < 1.0
 
 
@@ -148,7 +145,7 @@ def test_estimate_A_closed_form(values):
     defect = h_defect(p)
     row_d, row_d1 = defect.rows[defect.d], defect.rows[defect.d + 1]
     assume(row_d.e_k > 0 and row_d1.e_k > 0)
-    _, a_est = estimate_A(p, defect)
+    a_est = estimate_report(p, defect).a_est
     closed = (
         PI_SQ_OVER
         * (
@@ -191,43 +188,44 @@ def test_estimate_A_quick_near_exact(fixture_profile):
 
 def test_estimate_B_garfield(fixture_profile):
     p = fixture_profile("garfield")
-    b_prime, b_dprime, b_est, weights = estimate_B(p, h_defect(p))
-    assert abs(b_prime - 11328.5) < 1.0
-    assert abs(b_dprime - 11700.5) < 2.0
-    assert abs(b_est - 11515.45) < 2.0
-    assert abs(weights.beta_d - 0.448) < 0.001
-    assert abs(weights.beta_d1 - 0.199) < 0.001
+    report = estimate_report(p, h_defect(p))
+    assert abs(report.b_prime - 11328.5) < 1.0
+    assert abs(report.b_dprime - 11700.5) < 2.0
+    assert abs(report.b_est - 11515.45) < 2.0
+    assert abs(report.weights.beta_d - 0.448) < 0.001
+    assert abs(report.weights.beta_d1 - 0.199) < 0.001
 
 
 def test_estimate_B_schubert(fixture_profile):
     p = fixture_profile("schubert")
-    b_prime, b_dprime, b_est, weights = estimate_B(p, h_defect(p))
-    assert weights.beta_d == 0.0  # e_d = 36 exactly
-    assert abs(b_prime - 7608.4) < 1.0
-    assert abs(b_dprime - 7769.2) < 1.0
-    assert abs(b_est - 7688.8) < 2.0
+    report = estimate_report(p, h_defect(p))
+    assert report.weights.beta_d == 0.0  # e_d = 36 exactly
+    assert abs(report.b_prime - 7608.4) < 1.0
+    assert abs(report.b_dprime - 7769.2) < 1.0
+    assert abs(report.b_est - 7688.8) < 2.0
 
 
 def test_estimate_B_kalaj(fixture_profile):
-    _, _, b_est, _ = estimate_B(fixture_profile("kalaj"), h_defect(fixture_profile("kalaj")))
+    b_est = estimate_report(fixture_profile("kalaj"), h_defect(fixture_profile("kalaj"))).b_est
     assert abs(b_est - 1671.8) < 2.0
 
 
 def test_estimate_B_monkova(fixture_profile):
     p = fixture_profile("monkova")
-    _, _, b_est, weights = estimate_B(p, h_defect(p))
-    assert abs(b_est - 689.2) < 1.0
-    assert abs(weights.beta_d - 0.565) < 0.001
+    report = estimate_report(p, h_defect(p))
+    assert abs(report.b_est - 689.2) < 1.0
+    assert abs(report.weights.beta_d - 0.565) < 0.001
 
 
 def test_estimate_B_case4_mirror():
     p = normalize([7, 7, 7, 5, 1, 1, 1])
     defect = h_defect(p)
     assert defect.case_tag == "case4"
-    b_prime, b_dprime, b_est, weights = estimate_B(p, defect)
+    report = estimate_report(p, defect)
+    weights = report.weights
     assert weights.alpha_d + weights.beta_d == pytest.approx(1.0)
     assert weights.alpha_d1 + weights.beta_d1 == pytest.approx(1.0)
-    assert b_est == pytest.approx((b_prime + b_dprime) / 2)
+    assert report.b_est == pytest.approx((report.b_prime + report.b_dprime) / 2)
 
 
 @given(profiles(min_size=3, max_size=60))
@@ -239,14 +237,15 @@ def test_estimate_B_weights_and_bounds(values):
     assume(len(defect.rows) >= defect.d + 2)
     row_d, row_d1 = defect.rows[defect.d], defect.rows[defect.d + 1]
     assume(row_d.e_k > 0 and row_d1.e_k > 0)
-    b_prime, b_dprime, b_est, weights = estimate_B(p, defect)
+    report = estimate_report(p, defect)
+    b_prime, b_dprime, b_est, weights = report.b_prime, report.b_dprime, report.b_est, report.weights
     for alpha, beta in ((weights.alpha_d, weights.beta_d),
                         (weights.alpha_d1, weights.beta_d1)):
         if alpha is not None and beta is not None:
             assert 0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0
             assert abs(alpha + beta - 1.0) < 1e-12
-    j_d = interval_J(p, defect.d, row_d)
-    j_d1 = interval_J(p, defect.d + 1, row_d1)
+    j_d = interval_J(p, row_d)
+    j_d1 = interval_J(p, row_d1)
     eps = 1e-9
     if b_prime is not None:
         assert j_d.lo - eps <= b_prime <= j_d.hi + eps
@@ -413,11 +412,12 @@ def test_estimate_B_case1b():
     p = normalize([25, 21, 17, 15, 10, 10, 7])
     defect = h_defect(p)
     assert defect.case_tag == "case1b"
-    b_prime, b_dprime, b_est, weights = estimate_B(p, defect)
-    assert b_prime is None and b_dprime is None
+    report = estimate_report(p, defect)
+    weights = report.weights
+    assert report.b_prime is None and report.b_dprime is None
     assert weights.beta_d == pytest.approx(defect.rows[0].e_k - 7.0)
-    j_0 = interval_J(p, 0, defect.rows[0])
-    assert b_est == pytest.approx(weights.alpha_d * j_0.lo + weights.beta_d * j_0.hi)
+    j_0 = interval_J(p, defect.rows[0])
+    assert report.b_est == pytest.approx(weights.alpha_d * j_0.lo + weights.beta_d * j_0.hi)
 
 
 def test_interval_containment(fixture_profile):

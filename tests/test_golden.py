@@ -44,6 +44,7 @@ def _cases() -> list[dict]:
         for tag, argv in (
             ("indices", ["indices", path]),
             ("indices_json", ["indices", path, "--json"]),
+            ("indices_csv", ["indices", path, "--csv"]),
             ("estimate", ["estimate", path]),
             ("estimate_json", ["estimate", path, "--json"]),
             ("estimate_ladder", ["estimate", path, "--ladder"]),

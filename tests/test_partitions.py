@@ -113,6 +113,29 @@ def test_enumeration_histogram_matches_dp():
         assert dict(histogram) == count_by_durfee(n).counts
 
 
+def _durfee_counts_by_convolution(n):
+    """A partition with Durfee side d is a d x d square, a partition into
+    parts <= d below it and one into at most d parts to its right; by
+    conjugation both are counted as partitions into parts <= d, convolved
+    over the n - d^2 cells left."""
+    counts = {}
+    d = 1
+    while d * d <= n:
+        m = n - d * d
+        parts = [1] + [0] * m
+        for part in range(1, d + 1):
+            for i in range(part, m + 1):
+                parts[i] += parts[i - part]
+        counts[d] = sum(parts[i] * parts[m - i] for i in range(m + 1))
+        d += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 10, 99, 100, 101, 257, 399, 400])
+def test_count_by_durfee_matches_convolution_per_side(n):
+    assert count_by_durfee(n).counts == _durfee_counts_by_convolution(n)
+
+
 def test_durfee_mode_formula_values():
     assert abs(durfee_mode_formula(10000) - 54.044) < 0.001
     assert abs(durfee_mode_formula(2500) - 27.02) < 0.005
