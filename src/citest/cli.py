@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
-from pathlib import Path
 
 from . import refdata
 from .errors import (
@@ -60,8 +61,8 @@ def _fmt(value, precision: int) -> str:
 
 def _load(path: str, fmt: str | None):
     suffixes = {".json": "json", ".csv": "csv"}
-    fmt = fmt or suffixes.get(Path(path).suffix.lower(), "lines")
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    fmt = fmt or suffixes.get(os.path.splitext(path)[1].lower(), "lines")
+    with open(path, "r", encoding="utf-8") as fh:
         return load_profile(fh, fmt)
 
 
@@ -173,41 +174,43 @@ def cmd_estimate(args) -> int:
 # ------------------------------------------------------------- partition
 
 def cmd_partition(args) -> int:
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        if args.sub == "count":
-            if args.n > _partition_ceiling():
-                raise ResourceLimit(args.n, _partition_ceiling())
-            out.write(f"{partition_count(args.n)}\n")
-        elif args.sub == "durfee-dist":
+    # the whole output is built first: a failing command leaves --out alone
+    out = io.StringIO()
+    if args.sub == "count":
+        if args.n > _partition_ceiling():
+            raise ResourceLimit(args.n, _partition_ceiling())
+        out.write(f"{partition_count(args.n)}\n")
+    elif args.sub == "durfee-dist":
+        dist = count_by_durfee(args.n)
+        writer = csv.writer(out)
+        writer.writerow(["d", "count", "probability"])
+        for d, count, prob in dist.csv_rows():
+            writer.writerow([d, count, f"{prob:.{args.precision}g}"])
+    else:  # mode: the formula always prints, the exact mode when affordable
+        out.write(f"formula {durfee_mode_formula(args.n):.{args.precision}g}\n")
+        try:
             dist = count_by_durfee(args.n)
-            writer = csv.writer(out)
-            writer.writerow(["d", "count", "probability"])
-            for d, count, prob in dist.csv_rows():
-                writer.writerow([d, count, f"{prob:.{args.precision}g}"])
-        else:  # mode: the formula always prints, the exact mode when affordable
-            out.write(f"formula {durfee_mode_formula(args.n):.{args.precision}g}\n")
-            try:
-                dist = count_by_durfee(args.n)
-            except ResourceLimit:
-                pass
-            else:
-                tie = " (tied)" if dist.mode_tied else ""
-                out.write(f"exact {dist.mode}{tie}\n")
-    finally:
-        if args.out:
-            out.close()
+        except ResourceLimit:
+            pass
+        else:
+            tie = " (tied)" if dist.mode_tied else ""
+            out.write(f"exact {dist.mode}{tie}\n")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(out.getvalue())
+    else:
+        sys.stdout.write(out.getvalue())
     return 0
 
 
 # ------------------------------------------------------------- table
 
 def _load_fixture_profiles(directory: str, names: list[str]):
-    root = Path(directory)
-    missing = [n for n in names if not (root / refdata.FIXTURE_FILES[n]).exists()]
+    paths = {n: os.path.join(directory, refdata.FIXTURE_FILES[n]) for n in names}
+    missing = [n for n in names if not os.path.exists(paths[n])]
     if missing:
         raise FileNotFoundError(", ".join(sorted(missing)))
-    return {n: _load(str(root / refdata.FIXTURE_FILES[n]), "csv") for n in names}
+    return {n: _load(paths[n], "csv") for n in names}
 
 
 def _table1_row(name, profile, precision):

@@ -19,7 +19,7 @@ certify that no crossing occurs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .constants import DURFEE_MODE_COEFF, INV_COEFF, INV_COEFF_SQ
 from .errors import (
@@ -33,10 +33,8 @@ from .profile import CitationProfile
 from .shifted import DefectAnalysis, ShiftedRow, h_defect
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
+class Interval(namedtuple("Interval", "lo hi")):
+    __slots__ = ()
 
     @property
     def midpoint(self) -> float:
@@ -82,18 +80,12 @@ def _scaled_mean(center: float, ratio: float) -> float:
     return INV_COEFF_SQ * (1.0 + ratio * ratio) * center * center
 
 
-@dataclass(frozen=True)
-class IntervalVariants:
+class IntervalVariants(
+    namedtuple("IntervalVariants", "i i_mean iq iq_mean ir ir_mean iq_prime iq_prime_mean")
+):
     """The base interval I plus the inflated-center variants I(q), I(r), I(q')."""
 
-    i: Interval
-    i_mean: float
-    iq: Interval
-    iq_mean: float
-    ir: Interval
-    ir_mean: float
-    iq_prime: Interval
-    iq_prime_mean: float
+    __slots__ = ()
 
 
 def interval_variants(indices: CoreIndices) -> IntervalVariants:
@@ -126,44 +118,34 @@ def _frac(x: float) -> float:
     return x - math.floor(x)
 
 
-@dataclass(frozen=True)
-class CaseWeights:
+class CaseWeights(
+    namedtuple("CaseWeights", "alpha_d beta_d alpha_d1 beta_d1", defaults=(None,) * 4)
+):
     """Convex weights attached to the interval bounds, per case."""
 
-    alpha_d: float | None = None
-    beta_d: float | None = None
-    alpha_d1: float | None = None
-    beta_d1: float | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(
+    namedtuple(
+        "EstimateReport",
+        "d case_tag h_na h_na_d h_na_d1 i_d i_d1 j_d j_d1 a_prime a_est weights"
+        " b_prime b_dprime b_est head_sum_d head_sum_d1 ranks_consumed",
+    )
+):
     """Every quantity the estimation pipeline produces for one profile: I and J
     at ladder rows d and d+1 (an interval's mean is its ``midpoint``), A', A,
     and B', B'', B with the case weights (B'/B'' are None in cases 1b, 3a, 3b)."""
 
-    d: int
-    case_tag: str
-    h_na: float | None
-    h_na_d: float | None
-    h_na_d1: float | None
-    i_d: Interval
-    i_d1: Interval
-    j_d: Interval
-    j_d1: Interval
-    a_prime: float
-    a_est: float
-    weights: CaseWeights
-    b_prime: float | None
-    b_dprime: float | None
-    b_est: float
-    head_sum_d: int
-    head_sum_d1: int
-    ranks_consumed: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ErrorMetrics:
+class ErrorMetrics(
+    namedtuple(
+        "ErrorMetrics",
+        "delta_1 delta_2 delta_3 delta_4 delta_d cap_delta_a cap_delta_b delta_a delta_b",
+    )
+):
     """Relative and absolute errors against the known total N_cit.
 
     The interval-mean deltas are signed (estimate - N_cit)/N_cit; the A/B
@@ -171,15 +153,7 @@ class ErrorMetrics:
     source tables print them.
     """
 
-    delta_1: float
-    delta_2: float
-    delta_3: float
-    delta_4: float
-    delta_d: float
-    cap_delta_a: float
-    cap_delta_b: float
-    delta_a: float
-    delta_b: float
+    __slots__ = ()
 
 
 def _require_rows(defect: DefectAnalysis) -> tuple[ShiftedRow, ShiftedRow]:
@@ -332,31 +306,24 @@ def brown_interval(n_cit: int | float) -> Interval:
     return Interval(center - half, center + half)
 
 
-@dataclass(frozen=True)
-class RuleOfThumbSet:
+class RuleOfThumbSet(
+    namedtuple(
+        "RuleOfThumbSet",
+        "hirsch_band durfee_mode van_raan mahmoudi_ncit radicchi_simple spruit redner"
+        " mahmoudi_d1 radicchi_joint glanzel_schubert",
+        defaults=(None, None, None),
+    )
+):
     """Named square-root-law style h estimates from one citation total.
 
     Entries whose optional inputs (publication count, career years, Lotka
     exponent) were not supplied stay ``None`` and drop out of ``as_dict``.
     """
 
-    hirsch_band: tuple[float, float]
-    durfee_mode: float
-    van_raan: float
-    mahmoudi_ncit: float
-    radicchi_simple: float
-    spruit: float
-    redner: float
-    mahmoudi_d1: float | None = None
-    radicchi_joint: float | None = None
-    glanzel_schubert: float | None = None
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if getattr(self, f.name) is not None
-        }
+        return {name: value for name, value in self._asdict().items() if value is not None}
 
 
 def rules_of_thumb(

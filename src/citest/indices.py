@@ -10,7 +10,7 @@ Sums and floors are carried in exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EmptyCore, InsufficientTail, RankOutOfRange
 from .profile import CitationProfile
@@ -35,19 +35,10 @@ def suffix_h(entries: tuple[int, ...] | list[int], shift: int, complete: bool = 
     return v
 
 
-@dataclass(frozen=True)
-class CoreIndices:
-    h: int
-    g: int
-    n_cit_h: int
-    a_index: float
-    r_index: float
-    e_index: float
-    r_floor: int
-    q: float
-    q_prime: float
-    h_cap_index: float
-    d_index: float
+CoreIndices = namedtuple(
+    "CoreIndices",
+    "h g n_cit_h a_index r_index e_index r_floor q q_prime h_cap_index d_index",
+)
 
 
 def h_index(profile: CitationProfile) -> int:

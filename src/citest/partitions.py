@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .constants import DURFEE_MODE_COEFF
 from .errors import NegativeArgument, ResourceLimit
@@ -33,17 +33,17 @@ def _max_n() -> int:
         return DEFAULT_MAX_N
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """A non-increasing sequence of positive integer parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
+    def __new__(cls, parts: tuple[int, ...]):
+        if any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be non-increasing")
+        return super().__new__(cls, parts)
 
     @property
     def weight(self) -> int:
@@ -97,17 +97,12 @@ def _grow_pentagonal_cache(n: int) -> None:
         cache.append(total)
 
 
-@dataclass(frozen=True)
-class DurfeeDistribution:
+class DurfeeDistribution(
+    namedtuple("DurfeeDistribution", "n counts total mode mode_tied mean variance")
+):
     """Exact counts of partitions of n by Durfee-square side."""
 
-    n: int
-    counts: dict[int, int]
-    total: int
-    mode: int
-    mode_tied: bool
-    mean: Fraction
-    variance: Fraction
+    __slots__ = ()
 
     def probability(self, d: int) -> Fraction:
         return Fraction(self.counts.get(d, 0), self.total)

@@ -10,19 +10,26 @@ is unknown.
 from __future__ import annotations
 
 import csv
+import io
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from datetime import date
 from functools import cached_property
-from typing import IO, Iterable
+from itertools import chain
 
 from .errors import NegativeCitation, ParseError, RankOutOfRange
 
 SOURCES = ("scopus", "google_scholar", "other")
 
 
-@dataclass(frozen=True)
-class CitationProfile:
+class CitationProfile(
+    namedtuple(
+        "CitationProfile",
+        "citations name source snapshot_date complete",
+        defaults=("", "other", None, True),
+    )
+):
     """An immutable, validated citation profile.
 
     ``citations`` is non-increasing with every entry >= 0.  Derived counts:
@@ -32,18 +39,16 @@ class CitationProfile:
     derived counts cover the prefix alone.
     """
 
-    citations: tuple[int, ...]
-    name: str = ""
-    source: str = "other"
-    snapshot_date: date | None = None
-    complete: bool = True
+    # no __slots__: the cached sums live in the instance __dict__, which
+    # cached_property fills directly, so plain assignment can be refused
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CitationProfile is immutable: cannot set {name!r}")
 
     @property
     def p(self) -> int:
         return len(self.citations)
 
-    # summed on first access and kept in the instance __dict__; equality and
-    # hashing still read only the fields
+    # summed on first access; equality and hashing still read only the fields
     @cached_property
     def n_p_plus(self) -> int:
         return sum(1 for c in self.citations if c >= 1)
@@ -86,9 +91,9 @@ def _parse_date(text: str) -> date | None:
         return None
 
 
-def _load_lines(stream: IO[str]) -> CitationProfile:
+def _load_lines(first: str, rest: io.TextIOBase) -> CitationProfile:
     values = []
-    for lineno, line in enumerate(stream, start=1):
+    for lineno, line in enumerate(chain((first,), rest), start=1):
         text = line.strip()
         if not text:
             continue
@@ -99,12 +104,20 @@ def _load_lines(stream: IO[str]) -> CitationProfile:
     return normalize(values)
 
 
-def _load_csv(stream: IO[str]) -> CitationProfile:
+def _load_csv(first: str, rest: io.TextIOBase) -> CitationProfile:
     # Comment lines (leading '#') may precede the header; fixture files use
     # them for provenance notes.  They reach the reader as blank lines, so
     # ``line_num`` stays the file line.
-    reader = csv.reader("" if line.lstrip().startswith("#") else line for line in stream)
-    rows = (row for row in reader if row)
+    lines = chain((first,), rest)
+    reader = csv.reader("" if line.lstrip().startswith("#") else line for line in lines)
+
+    def nonempty_rows():
+        try:
+            yield from filter(None, reader)
+        except csv.Error as exc:  # e.g. a field over the reader's size limit
+            raise ParseError(reader.line_num, str(exc)) from None
+
+    rows = nonempty_rows()
     # a repeated column name resolves to its last occurrence
     columns = {column: i for i, column in enumerate(next(rows, []))}
     if "citations" not in columns:
@@ -133,11 +146,14 @@ def _load_csv(stream: IO[str]) -> CitationProfile:
     )
 
 
-def _load_json(stream: IO[str]) -> CitationProfile:
+def _load_json(first: str, rest: io.TextIOBase) -> CitationProfile:
     try:
-        payload = json.load(stream)
+        # one-line JSON leaves ``rest`` empty, and adding "" copies nothing
+        payload = json.loads(first + rest.read())
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from None
+    except RecursionError:
+        raise ParseError(None, "JSON arrays or objects nested too deeply") from None
     if not isinstance(payload, dict) or "citations" not in payload:
         raise ParseError(1, "JSON object must contain a 'citations' array")
     raw = payload["citations"]
@@ -151,12 +167,17 @@ def _load_json(stream: IO[str]) -> CitationProfile:
     )
 
 
-def load_profile(stream: IO[str], format: str) -> CitationProfile:
-    """Load a profile from ``stream`` in one of ``json``, ``csv``, ``lines``."""
+def load_profile(stream: io.TextIOBase, format: str) -> CitationProfile:
+    """Load a profile from ``stream`` in one of ``json``, ``csv``, ``lines``.
+
+    A UTF-8 byte-order mark at the start of the stream is skipped.
+    """
     loaders = {"lines": _load_lines, "csv": _load_csv, "json": _load_json}
     if format not in loaders:
         raise ValueError(f"unknown format {format!r}; expected one of {sorted(loaders)}")
-    return loaders[format](stream)
+    # only the first line is read ahead; the loaders stream the rest
+    first = stream.readline().removeprefix("\ufeff")
+    return loaders[format](first, stream)
 
 
 def truncate_head(profile: CitationProfile, m: int) -> CitationProfile:

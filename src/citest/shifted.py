@@ -18,9 +18,9 @@ reads ranks up to min(p, h_k+k+1) of the last row it scans, reported as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator
 
 from .errors import EmptyCore, IndexUnderflow, InsufficientTail, RankOutOfRange
 from .indices import suffix_h
@@ -39,8 +39,9 @@ CASE_TAGS = (
 )
 
 
-@dataclass(frozen=True)
-class ShiftedRow:
+class ShiftedRow(
+    namedtuple("ShiftedRow", "k h_k n_h_k e_k q_k n_cit_k delta_k", defaults=(None, None))
+):
     """One ladder row: the shifted index of order k and its core statistics.
 
     ``n_cit_k`` (the tail total) and ``delta_k`` (the stay/drop indicator for
@@ -48,17 +49,16 @@ class ShiftedRow:
     them down.
     """
 
-    k: int
-    h_k: int
-    n_h_k: int
-    e_k: float
-    q_k: float
-    n_cit_k: int | None = None
-    delta_k: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DefectAnalysis:
+class DefectAnalysis(
+    namedtuple(
+        "DefectAnalysis",
+        "d case_tag defect_core an_domain rows ranks_consumed",
+        defaults=(0,),
+    )
+):
     """Defect depth d, its case tag, and the ladder rows 0..d+1.
 
     ``defect_core`` holds cit_1..cit_d (empty when d = 0); ``an_domain`` the
@@ -66,12 +66,7 @@ class DefectAnalysis:
     classification had to read, which blind estimation reports back.
     """
 
-    d: int
-    case_tag: str
-    defect_core: tuple[int, ...]
-    an_domain: tuple[int, ...]
-    rows: tuple[ShiftedRow, ...]
-    ranks_consumed: int = 0
+    __slots__ = ()
 
     @property
     def row_d(self) -> ShiftedRow:

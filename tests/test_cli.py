@@ -184,6 +184,30 @@ def test_partition_resource_limit_exits_5(monkeypatch):
     assert code == 5
 
 
+def test_partition_out_file_written_only_on_success(tmp_path, monkeypatch):
+    monkeypatch.delenv("CITEST_MAX_N", raising=False)
+    out = tmp_path / "keep.txt"
+    out.write_bytes(b"earlier result\n")
+    assert run("partition", "count", "6000", "--out", str(out)) == (5, "")
+    assert run("partition", "durfee-dist", "-1", "--out", str(out)) == (2, "")
+    assert out.read_bytes() == b"earlier result\n"
+    assert run("partition", "count", "100", "--out", str(out)) == (0, "")
+    assert out.read_bytes() == b"190569292\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("deep.json", "[" * 100000),
+    ("wide.csv", "citations\n" + "1" * 131073 + "\n"),
+], ids=["json_nesting", "csv_field_limit"])
+def test_oversized_input_exits_2(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, _ = run("indices", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("citest: bad input: ")
+
+
 def test_table_2_schubert_b():
     code, out = run("table", "2", "--fixtures", FIXTURES)
     assert code == 0

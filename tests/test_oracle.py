@@ -9,7 +9,6 @@ paper's formulas.  It uses no citest helper, so it shares no code with the
 recurrences and the estimator arithmetic it checks.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -180,7 +179,7 @@ def _check_estimates(values):
     for name, expected in want.items():
         got = getattr(report, name)
         if name == "weights":
-            got = {k: v for k, v in dataclasses.asdict(got).items() if v is not None}
+            got = {k: v for k, v in got._asdict().items() if v is not None}
             assert got.keys() == expected.keys(), name
             assert all(_close(got[k], expected[k]) for k in expected), (name, got, expected)
         else:
@@ -214,9 +213,9 @@ _TOTAL_FIELDS = ("h_na", "h_na_d", "h_na_d1")
 
 def _shared(report):
     return {
-        f.name: getattr(report, f.name)
-        for f in dataclasses.fields(report)
-        if f.name not in _TOTAL_FIELDS and f.name != "ranks_consumed"
+        name: getattr(report, name)
+        for name in report._fields
+        if name not in _TOTAL_FIELDS and name != "ranks_consumed"
     }
 
 

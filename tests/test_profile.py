@@ -126,6 +126,17 @@ def test_load_json_element_error_has_no_line():
     assert str(err.value) == "citation at position 2 must be an integer, got 'x'"
 
 
+@pytest.mark.parametrize("fmt, text", [
+    ("csv", "citations\n5\n3\n"),
+    ("json", '{"citations": [5, 3]}'),
+    ("lines", "5\n3\n"),
+], ids=["csv", "json", "lines"])
+def test_load_profile_skips_byte_order_mark(fmt, text):
+    marked = load_profile(io.StringIO("\ufeff" + text), fmt)
+    assert marked == load_profile(io.StringIO(text), fmt)
+    assert marked.citations == (5, 3)
+
+
 def test_load_csv_requires_header():
     with pytest.raises(ParseError):
         load_profile(io.StringIO("counts\n5\n"), "csv")
