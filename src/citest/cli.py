@@ -1,8 +1,9 @@
 """Command-line interface: index reports, estimation, partitions, table reproduction.
 
-Exit codes: 1 ``table --diff`` found mismatches, 2 parse failure (including
-an input file that is not UTF-8 text or is a directory), 3 empty/degenerate
-core, 4 insufficient rank prefix, 5 resource ceiling, 6 missing fixtures.
+Exit codes: 1 ``table --diff`` found mismatches, 2 bad input (a parse
+failure, or a file that cannot be read or written: missing, a directory, not
+permitted, not UTF-8 text), 3 empty/degenerate core, 4 insufficient rank
+prefix, 5 resource ceiling, 6 missing fixtures.
 All output is deterministic for identical inputs.
 """
 
@@ -45,6 +46,10 @@ EXIT_DEGENERATE = 3
 EXIT_TAIL = 4
 EXIT_RESOURCE = 5
 EXIT_FIXTURES = 6
+
+
+class MissingFixtures(Exception):
+    """``table`` found no fixture directory or lacks some fixture files."""
 
 
 def _fmt(value, precision: int) -> str:
@@ -135,14 +140,9 @@ def cmd_estimate(args) -> int:
     defect = h_defect(subject)
     report = estimate_report(subject, defect)
     if args.ladder:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["k", "h_k", "n_h_k", "n_cit_k", "e_k", "q_k"])
-        for row in defect.rows:
-            writer.writerow([
-                row.k, row.h_k, row.n_h_k,
-                "" if row.n_cit_k is None else row.n_cit_k,
-                _fmt(row.e_k, args.precision), _fmt(row.q_k, args.precision),
-            ])
+        columns = ("k", "h_k", "n_h_k", "n_cit_k", "e_k", "q_k")
+        rows = [{c: getattr(row, c) for c in columns} for row in defect.rows]
+        _emit_table(rows, args.precision, sys.stdout)
         return 0
     row = {
         "name": profile.name,
@@ -182,10 +182,11 @@ def cmd_partition(args) -> int:
         out.write(f"{partition_count(args.n)}\n")
     elif args.sub == "durfee-dist":
         dist = count_by_durfee(args.n)
-        writer = csv.writer(out)
-        writer.writerow(["d", "count", "probability"])
-        for d, count, prob in dist.csv_rows():
-            writer.writerow([d, count, f"{prob:.{args.precision}g}"])
+        rows = [
+            {"d": d, "count": count, "probability": count / dist.total}
+            for d, count in sorted(dist.counts.items())
+        ]
+        _emit_table(rows, args.precision, out)
     else:  # mode: the formula always prints, the exact mode when affordable
         out.write(f"formula {durfee_mode_formula(args.n):.{args.precision}g}\n")
         try:
@@ -209,11 +210,11 @@ def _load_fixture_profiles(directory: str, names: list[str]):
     paths = {n: os.path.join(directory, refdata.FIXTURE_FILES[n]) for n in names}
     missing = [n for n in names if not os.path.exists(paths[n])]
     if missing:
-        raise FileNotFoundError(", ".join(sorted(missing)))
+        raise MissingFixtures(", ".join(sorted(missing)))
     return {n: _load(paths[n], "csv") for n in names}
 
 
-def _table1_row(name, profile, precision):
+def _table1_row(name, profile):
     ci = compute_core_indices(profile)
     v = interval_variants(ci)
     return {
@@ -238,7 +239,7 @@ def _table1_row(name, profile, precision):
     }
 
 
-def _table2_row(name, profile, precision):
+def _table2_row(name, profile):
     defect = h_defect(profile)
     report = estimate_report(profile, defect)
     metrics = error_metrics(profile, report)
@@ -326,7 +327,6 @@ def _diff_report(table_id, rows, out) -> bool:
 
 
 def cmd_table(args) -> int:
-    precision = args.precision
     if args.table == "8":
         rows = _table8_rows()
     else:
@@ -336,11 +336,11 @@ def cmd_table(args) -> int:
             "5": refdata.TABLE5_RESEARCHERS,
         }[args.table]
         if not args.fixtures:
-            raise FileNotFoundError("fixture directory required (--fixtures DIR)")
+            raise MissingFixtures("fixture directory required (--fixtures DIR)")
         profiles = _load_fixture_profiles(args.fixtures, names)
         builder = _table1_row if args.table == "1" else _table2_row
-        rows = [builder(n, profiles[n], precision) for n in names]
-    _emit_table(rows, precision, sys.stdout)
+        rows = [builder(n, profiles[n]) for n in names]
+    _emit_table(rows, args.precision, sys.stdout)
     if args.diff and not _diff_report(args.table, rows, sys.stdout):
         return EXIT_DIFF
     return 0
@@ -408,12 +408,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, NegativeCitation, NegativeArgument, RankOutOfRange,
-            FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
-        if isinstance(exc, FileNotFoundError) and args.command == "table":
-            print(f"citest: missing fixtures: {exc}", file=sys.stderr)
-            return EXIT_FIXTURES
+            OSError, UnicodeDecodeError) as exc:
         print(f"citest: bad input: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MissingFixtures as exc:
+        print(f"citest: missing fixtures: {exc}", file=sys.stderr)
+        return EXIT_FIXTURES
     except (EmptyCore, DegenerateCore) as exc:
         print(f"citest: degenerate profile: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -107,10 +107,6 @@ class DurfeeDistribution(
     def probability(self, d: int) -> Fraction:
         return Fraction(self.counts.get(d, 0), self.total)
 
-    def csv_rows(self) -> Iterator[tuple[int, int, float]]:
-        for d in sorted(self.counts):
-            yield d, self.counts[d], self.counts[d] / self.total
-
 
 def count_by_durfee(n: int) -> DurfeeDistribution:
     """Exact distribution of Durfee-square sides over all partitions of n.

@@ -14,25 +14,20 @@ import io
 import json
 from collections import namedtuple
 from collections.abc import Iterable
-from datetime import date
 from functools import cached_property
 from itertools import chain
 
 from .errors import NegativeCitation, ParseError, RankOutOfRange
 
-SOURCES = ("scopus", "google_scholar", "other")
-
 
 class CitationProfile(
-    namedtuple(
-        "CitationProfile",
-        "citations name source snapshot_date complete",
-        defaults=("", "other", None, True),
-    )
+    namedtuple("CitationProfile", "citations name complete", defaults=("", True))
 ):
     """An immutable, validated citation profile.
 
-    ``citations`` is non-increasing with every entry >= 0.  Derived counts:
+    ``citations`` is non-increasing with every entry >= 0; ``name`` is for
+    display only (input columns or keys other than ``name`` and
+    ``citations``, such as ``source`` or ``date``, are ignored).  Derived counts:
     ``p`` (publications), ``n_p_plus`` (publications with at least one
     citation) and ``n_cit`` (total citations).  ``complete`` is false when
     ``citations`` holds only the top ranks of a longer profile, so the
@@ -58,12 +53,7 @@ class CitationProfile(
         return sum(self.citations)
 
 
-def normalize(
-    raw: Iterable[int],
-    name: str = "",
-    source: str = "other",
-    snapshot_date: date | None = None,
-) -> CitationProfile:
+def normalize(raw: Iterable[int], name: str = "") -> CitationProfile:
     """Validate and sort raw citation counts into a profile.
 
     Entries must be non-negative integers; order does not matter.  Raises
@@ -77,18 +67,7 @@ def normalize(
             raise NegativeCitation(i, value)
         entries.append(value)
     entries.sort(reverse=True)
-    if source not in SOURCES:
-        source = "other"
-    return CitationProfile(
-        citations=tuple(entries), name=name, source=source, snapshot_date=snapshot_date
-    )
-
-
-def _parse_date(text: str) -> date | None:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        return None
+    return CitationProfile(citations=tuple(entries), name=name)
 
 
 def _load_lines(first: str, rest: io.TextIOBase) -> CitationProfile:
@@ -128,7 +107,7 @@ def _load_csv(first: str, rest: io.TextIOBase) -> CitationProfile:
         return row[i].strip() if i is not None and i < len(row) else ""
 
     values: list[int] = []
-    meta: list[str] = []  # metadata, when present, sits on the first data row
+    meta: list[str] = []  # the name, when present, sits on the first data row
     for row in rows:
         meta = meta or row
         text = cell(row, "citations")
@@ -138,12 +117,7 @@ def _load_csv(first: str, rest: io.TextIOBase) -> CitationProfile:
             values.append(int(text))
         except ValueError:
             raise ParseError(reader.line_num, f"expected a decimal integer, got {text!r}") from None
-    return normalize(
-        values,
-        name=cell(meta, "name"),
-        source=cell(meta, "source") or "other",
-        snapshot_date=_parse_date(cell(meta, "date")),
-    )
+    return normalize(values, name=cell(meta, "name"))
 
 
 def _load_json(first: str, rest: io.TextIOBase) -> CitationProfile:
@@ -154,17 +128,14 @@ def _load_json(first: str, rest: io.TextIOBase) -> CitationProfile:
         raise ParseError(exc.lineno, exc.msg) from None
     except RecursionError:
         raise ParseError(None, "JSON arrays or objects nested too deeply") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError(None, str(exc)) from None
     if not isinstance(payload, dict) or "citations" not in payload:
         raise ParseError(1, "JSON object must contain a 'citations' array")
     raw = payload["citations"]
     if not isinstance(raw, list):
         raise ParseError(1, "'citations' must be an array of integers")
-    return normalize(
-        raw,
-        name=str(payload.get("name", "")),
-        source=str(payload.get("source", "other")),
-        snapshot_date=_parse_date(str(payload.get("date", ""))),
-    )
+    return normalize(raw, name=str(payload.get("name", "")))
 
 
 def load_profile(stream: io.TextIOBase, format: str) -> CitationProfile:
@@ -187,7 +158,5 @@ def truncate_head(profile: CitationProfile, m: int) -> CitationProfile:
     return CitationProfile(
         citations=profile.citations[:m],
         name=profile.name,
-        source=profile.source,
-        snapshot_date=profile.snapshot_date,
         complete=profile.complete and m == profile.p,
     )

@@ -10,9 +10,10 @@ and always agree with direct recomputation from the suffix (the oracle the
 test suite enforces).  The stay/drop indicator delta_k comes from one read of
 rank h_k+k+1 per row.  The defect d is the removal depth at which the excess
 e_k first crosses the shifted index h_k; the crossing direction fixes the
-case tag consumed by the estimator module.  A blind scan of a p-rank prefix
-reads ranks up to min(p, h_k+k+1) of the last row it scans, reported as
-``ranks_consumed``.
+case tag consumed by the estimator module.  The last scanned row's
+delta_k is never used, so a scan certifies from ranks up to
+min(p, h_k+k+1) of the row before it (of row 0 when only row 0 is scanned):
+the smallest certifying prefix, reported as ``ranks_consumed``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ class DefectAnalysis(
 
     ``defect_core`` holds cit_1..cit_d (empty when d = 0); ``an_domain`` the
     h_d entries that follow it.  ``ranks_consumed`` is the highest rank the
-    classification had to read, which blind estimation reports back.
+    classification had to read: the shortest prefix that certifies it, which
+    blind estimation reports back.
     """
 
     __slots__ = ()
@@ -193,9 +195,10 @@ def h_defect(profile: CitationProfile) -> DefectAnalysis:
         tag = _refine_case2(rows[d], rows[d + 1]) if above else "case4"
 
     h_d = rows[d].h_k
-    # h_{k+1} >= h_k - 1, so h_k + k never decreases along the ladder: the
-    # last scanned row read the highest rank, h_k + k + 1
-    last = rows[-1]
+    # h_{k+1} >= h_k - 1, so h_k + k never decreases along the ladder.  The
+    # last scanned row's delta_k builds no row, so the highest rank needed is
+    # h_k + k + 1 of the row before it
+    last = rows[-2] if len(rows) > 1 else rows[0]
     return DefectAnalysis(
         d=d,
         case_tag=tag,

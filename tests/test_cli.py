@@ -90,6 +90,36 @@ def test_estimate_directory_input_exits_2(tmp_path, capsys):
     assert err.startswith("citest: ") and err.count("\n") == 1
 
 
+def test_input_path_through_a_file_exits_2(capsys):
+    code, _ = run("indices", f"{FIXTURES}/garfield.csv/")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("citest: bad input: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["indices", f"{FIXTURES}/garfield.csv"],
+    ["table", "1", "--fixtures", FIXTURES],
+], ids=["indices", "table"])
+def test_unreadable_input_exits_2(monkeypatch, capsys, argv):
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    # the CLI's module-level name shadows the builtin open
+    monkeypatch.setattr("citest.cli.open", denied, raising=False)
+    assert run(*argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("citest: bad input: [Errno 13] Permission denied")
+
+
+def test_partition_out_path_through_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    assert run("partition", "count", "10", "--out", str(blocker / "x.txt")) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("citest: bad input: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("suffix, text", [
     (".csv", "name,citations\ntoy,9\n,5\n,5\n,2\n"),
     (".json", '{"name": "toy", "citations": [9, 5, 5, 2]}'),
@@ -198,7 +228,8 @@ def test_partition_out_file_written_only_on_success(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name, text", [
     ("deep.json", "[" * 100000),
     ("wide.csv", "citations\n" + "1" * 131073 + "\n"),
-], ids=["json_nesting", "csv_field_limit"])
+    ("huge.json", '{"citations": [' + "1" * 5000 + "]}"),
+], ids=["json_nesting", "csv_field_limit", "json_digit_limit"])
 def test_oversized_input_exits_2(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -271,9 +302,14 @@ def test_table_8_standard_rows_match():
     assert checked == 24
 
 
-def test_table_missing_fixtures_exits_6(tmp_path):
+def test_table_missing_fixtures_exits_6(tmp_path, capsys):
     code, _ = run("table", "2", "--fixtures", str(tmp_path))
     assert code == 6
+    assert capsys.readouterr().err.startswith("citest: missing fixtures: braun, egghe, ")
+    assert run("table", "5") == (6, "")
+    assert capsys.readouterr().err == (
+        "citest: missing fixtures: fixture directory required (--fixtures DIR)\n"
+    )
 
 
 def test_outputs_deterministic():

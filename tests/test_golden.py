@@ -51,9 +51,23 @@ def _cases() -> list[dict]:
             ("estimate_blind", ["estimate", path, "--blind", str(BLIND_K[name])]),
         ):
             cases.append({"id": f"{name}.{tag}", "argv": argv})
+    # a blind ladder leaves every n_cit_k empty
+    cases.append({
+        "id": "garfield.estimate_blind_ladder",
+        "argv": ["estimate", "{fixtures}/garfield.csv", "--blind", "47", "--ladder",
+                 "--precision", "3"],
+    })
     for table in ("1", "2", "5", "8"):
         argv = ["table", table, "--fixtures", "{fixtures}", "--diff"]
         cases.append({"id": f"table{table}_diff", "argv": argv})
+    for tag, argv in (
+        ("count_100", ["count", "100"]),
+        ("durfee_dist_30", ["durfee-dist", "30"]),
+        ("durfee_dist_30_p3", ["durfee-dist", "30", "--precision", "3"]),
+        ("mode_400", ["mode", "400"]),
+        ("mode_10000", ["mode", "10000"]),
+    ):
+        cases.append({"id": f"partition_{tag}", "argv": ["partition", *argv]})
     return cases
 
 

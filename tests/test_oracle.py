@@ -252,3 +252,7 @@ def test_every_prefix_certifies_or_names_a_missing_rank(values):
             assert all(getattr(blind, name) is None for name in _TOTAL_FIELDS)
         else:
             assert blind == full
+    # the full run's prefix is the smallest: one rank less names that rank
+    with pytest.raises(InsufficientTail) as shorter:
+        estimate_report(truncate_head(profile, full.ranks_consumed - 1))
+    assert shorter.value.needed_rank == full.ranks_consumed

@@ -91,8 +91,8 @@ def test_load_csv_with_metadata_and_comments():
     text = "# provenance note\nname,source,date,citations\nX,scopus,2023-02-21,4\n,,,2\n,,,9\n"
     p = load_profile(io.StringIO(text), "csv")
     assert p.citations == (9, 4, 2)
-    assert p.name == "X" and p.source == "scopus"
-    assert str(p.snapshot_date) == "2023-02-21"
+    assert p.name == "X"
+    assert p._fields == ("citations", "name", "complete")
 
 
 def test_load_csv_plain_single_column():
