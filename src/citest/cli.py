@@ -35,8 +35,7 @@ from .estimators import (
     interval_variants,
 )
 from .indices import compute_core_indices
-from .partitions import _max_n as _partition_ceiling
-from .partitions import count_by_durfee, durfee_mode_formula, partition_count
+from .partitions import MAX_N, count_by_durfee, durfee_mode_formula, partition_count
 from .profile import load_profile, truncate_head
 from .shifted import h_defect
 
@@ -177,8 +176,8 @@ def cmd_partition(args) -> int:
     # the whole output is built first: a failing command leaves --out alone
     out = io.StringIO()
     if args.sub == "count":
-        if args.n > _partition_ceiling():
-            raise ResourceLimit(args.n, _partition_ceiling())
+        if args.n > MAX_N:
+            raise ResourceLimit(args.n, MAX_N)
         out.write(f"{partition_count(args.n)}\n")
     elif args.sub == "durfee-dist":
         dist = count_by_durfee(args.n)
@@ -188,6 +187,8 @@ def cmd_partition(args) -> int:
         ]
         _emit_table(rows, args.precision, out)
     else:  # mode: the formula always prints, the exact mode when affordable
+        if args.n > sys.float_info.max:  # math.sqrt converts n to a float
+            raise ParseError(None, f"n must be below {sys.float_info.max:.2g} for the mode formula")
         out.write(f"formula {durfee_mode_formula(args.n):.{args.precision}g}\n")
         try:
             dist = count_by_durfee(args.n)
@@ -308,8 +309,6 @@ def _diff_report(table_id, rows, out) -> bool:
     for row in rows:
         name = row["researcher"]
         for cell, expected in expected_map.get(name, {}).items():
-            if cell not in row or row[cell] is None:
-                continue
             if not isinstance(expected, tuple):
                 expected = (expected, 0)
             ok, delta = _diff_cell(row[cell], expected)
@@ -355,6 +354,8 @@ def _precision(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value > 17:  # 17 significant digits identify every double
+        raise argparse.ArgumentTypeError(f"must be <= 17, got {value}")
     return value
 
 

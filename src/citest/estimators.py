@@ -228,21 +228,19 @@ def _estimate_B(
         return b_prime, b_dprime, (b_prime + b_dprime) / 2.0, weights
 
     if tag == "case4":
-        # mirror of case 2 with the weight roles swapped
-        ex_d = row_d.n_h_k - row_d.h_k**2
-        if (row_d.h_k - 1) ** 2 > ex_d:
-            alpha_d = 1.0
-            b_prime = j_d.lo
-        else:
-            alpha_d = _frac(row_d.e_k)
-            b_prime = _weighted(j_d.lo, j_d.hi, 1.0 - alpha_d)
-        ex_d1 = row_d1.n_h_k - row_d1.h_k**2
-        if ex_d1 > (row_d1.h_k + 1) ** 2:
-            alpha_d1 = 0.0
-            b_dprime = j_d1.hi
-        else:
-            alpha_d1 = _frac(row_d1.e_k)
-            b_dprime = _weighted(j_d1.lo, j_d1.hi, alpha_d1)
+        # mirror of case 2 with the weight roles swapped.  Case 2's hard bounds
+        # would mirror to (h_d-1)^2 > ex_d and ex_{d+1} > (h_{d+1}+1)^2, with
+        # ex_k = e_k^2, but no profile meets either.  Proof, a_1 >= ... >= a_h
+        # being row d's core (h = h_d) and b_i = a_i - h:
+        # - a stay gives ex_{d+1} = ex_d - b_1 <= ex_d, no crossing, so row d+1
+        #   follows a drop of a_1: h_{d+1} = h - 1, ex_{d+1} = sum_{i>=2} b_i + h - 1.
+        # - ex_{d+1} > (h-1)^2 puts the mean of b_2..b_h above h - 2, so
+        #   b_1 >= h - 1 and ex_d = b_1 + ex_{d+1} - (h-1) >= ex_{d+1} > (h-1)^2.
+        # - row d did not cross: ex_{d+1} <= ex_d <= h^2 = (h_{d+1}+1)^2.
+        alpha_d = _frac(row_d.e_k)
+        b_prime = _weighted(j_d.lo, j_d.hi, 1.0 - alpha_d)
+        alpha_d1 = _frac(row_d1.e_k)
+        b_dprime = _weighted(j_d1.lo, j_d1.hi, alpha_d1)
         weights = CaseWeights(
             alpha_d=alpha_d, beta_d=1.0 - alpha_d, alpha_d1=alpha_d1, beta_d1=1.0 - alpha_d1
         )
@@ -254,7 +252,7 @@ def _estimate_B(
 def estimate_report(
     profile: CitationProfile, defect: DefectAnalysis | None = None
 ) -> EstimateReport:
-    """Run the whole estimation pipeline for one profile (full or prefix)."""
+    """The estimation pipeline for one profile; ``defect`` must be ``h_defect(profile)``."""
     if defect is None:
         defect = h_defect(profile)
     row_d, row_d1 = _require_rows(defect)

@@ -12,25 +12,15 @@ the citation estimators rely on.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 
 from .constants import DURFEE_MODE_COEFF
 from .errors import NegativeArgument, ResourceLimit
 
-DEFAULT_MAX_N = 5000
-DEFAULT_ENUM_MAX_N = 45
-
-
-def _max_n() -> int:
-    value = os.environ.get("CITEST_MAX_N", "")
-    try:
-        return int(value)
-    except ValueError:
-        return DEFAULT_MAX_N
+MAX_N = 5000  # ceiling on n for the Durfee distribution and ``partition count``
+ENUM_MAX_N = 45  # brute-force enumeration yields all p(n) partitions
 
 
 class Partition(namedtuple("Partition", "parts")):
@@ -104,9 +94,6 @@ class DurfeeDistribution(
 
     __slots__ = ()
 
-    def probability(self, d: int) -> Fraction:
-        return Fraction(self.counts.get(d, 0), self.total)
-
 
 def count_by_durfee(n: int) -> DurfeeDistribution:
     """Exact distribution of Durfee-square sides over all partitions of n.
@@ -114,11 +101,12 @@ def count_by_durfee(n: int) -> DurfeeDistribution:
     Coefficients of prod_{j<=d} (1-x^j)^(-2) are grown incrementally in d;
     the count for side d is the x^(n-d^2) coefficient at stage d.
     """
+    from fractions import Fraction  # only the exact moments need it
+
     if n < 0:
         raise NegativeArgument(f"n must be >= 0, got {n}")
-    ceiling = _max_n()
-    if n > ceiling:
-        raise ResourceLimit(n, ceiling)
+    if n > MAX_N:
+        raise ResourceLimit(n, MAX_N)
     if n == 0:
         return DurfeeDistribution(
             n=0, counts={0: 1}, total=1, mode=0, mode_tied=False,
@@ -149,15 +137,15 @@ def count_by_durfee(n: int) -> DurfeeDistribution:
     )
 
 
-def enumerate_partitions(n: int, max_n: int = DEFAULT_ENUM_MAX_N) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Every partition of n exactly once, parts descending, lexicographically.
 
-    Brute-force oracle, capped at ``max_n`` because p(n) grows exponentially.
+    Brute-force oracle, capped at ``ENUM_MAX_N`` because p(n) grows exponentially.
     """
     if n < 0:
         raise NegativeArgument(f"n must be >= 0, got {n}")
-    if n > max_n:
-        raise ResourceLimit(n, max_n)
+    if n > ENUM_MAX_N:
+        raise ResourceLimit(n, ENUM_MAX_N)
 
     def _descend(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
         if remaining == 0:

@@ -19,6 +19,9 @@ from itertools import chain
 
 from .errors import NegativeCitation, ParseError, RankOutOfRange
 
+# far above any real count; sums, squares and interval bounds stay finite floats
+MAX_CITATIONS = 10**15
+
 
 class CitationProfile(
     namedtuple("CitationProfile", "citations name complete", defaults=("", True))
@@ -56,8 +59,8 @@ class CitationProfile(
 def normalize(raw: Iterable[int], name: str = "") -> CitationProfile:
     """Validate and sort raw citation counts into a profile.
 
-    Entries must be non-negative integers; order does not matter.  Raises
-    ``NegativeCitation`` pointing at the first offending input position.
+    Entries must be integers in 0..``MAX_CITATIONS``, in any order.  Raises
+    ``NegativeCitation`` at the first negative input position, else ``ParseError``.
     """
     entries = []
     for i, value in enumerate(raw):
@@ -67,7 +70,16 @@ def normalize(raw: Iterable[int], name: str = "") -> CitationProfile:
             raise NegativeCitation(i, value)
         entries.append(value)
     entries.sort(reverse=True)
+    if entries and entries[0] > MAX_CITATIONS:
+        raise ParseError(None, f"citation count above the maximum of {MAX_CITATIONS}")
     return CitationProfile(citations=tuple(entries), name=name)
+
+
+def _bad_count(line: int, text: str) -> ParseError:
+    # int() refuses a decimal string past the interpreter's digit limit
+    if text.isdecimal():
+        return ParseError(line, "citation count too large")
+    return ParseError(line, f"expected a decimal integer, got {text!r}")
 
 
 def _load_lines(first: str, rest: io.TextIOBase) -> CitationProfile:
@@ -79,7 +91,7 @@ def _load_lines(first: str, rest: io.TextIOBase) -> CitationProfile:
         try:
             values.append(int(text))
         except ValueError:
-            raise ParseError(lineno, f"expected a decimal integer, got {text!r}") from None
+            raise _bad_count(lineno, text) from None
     return normalize(values)
 
 
@@ -116,7 +128,7 @@ def _load_csv(first: str, rest: io.TextIOBase) -> CitationProfile:
         try:
             values.append(int(text))
         except ValueError:
-            raise ParseError(reader.line_num, f"expected a decimal integer, got {text!r}") from None
+            raise _bad_count(reader.line_num, text) from None
     return normalize(values, name=cell(meta, "name"))
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from citest import refdata
 from citest.cli import main
 
 FIXTURES = str(Path(__file__).parent / "fixtures")
@@ -47,6 +48,40 @@ def test_indices_empty_profile_exits_3(tmp_path):
     path.write_text("")
     code, _ = run("indices", str(path))
     assert code == 3
+
+
+def test_estimate_all_zero_profile_exits_3(tmp_path, capsys):
+    path = tmp_path / "zeros.txt"
+    path.write_text("0\n0\n0\n")
+    assert run("estimate", str(path)) == (3, "")
+    assert capsys.readouterr().err.startswith("citest: degenerate profile: h = 0")
+
+
+def _profile_text(suffix, values):
+    if suffix == ".json":
+        return '{"citations": [' + ", ".join(values) + "]}"
+    header = "citations\n" if suffix == ".csv" else ""
+    return header + "\n".join(values) + "\n"
+
+
+@pytest.mark.parametrize("command", ["indices", "estimate"])
+@pytest.mark.parametrize("suffix", [".csv", ".json", ".txt"])
+@pytest.mark.parametrize("top", ["1" * 310, "9" * 200, str(10**15 + 1)],
+                         ids=["310_digits", "200_digits", "max_plus_1"])
+def test_citation_above_maximum_exits_2(tmp_path, capsys, command, suffix, top):
+    path = tmp_path / f"big{suffix}"
+    path.write_text(_profile_text(suffix, [top, "50", "40", "30", "20", "10", "5", "3"]))
+    assert run(command, str(path)) == (2, "")
+    assert capsys.readouterr().err == (
+        "citest: bad input: citation count above the maximum of 1000000000000000\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["indices", "estimate"])
+def test_citation_at_maximum_runs(tmp_path, command):
+    path = tmp_path / "top.txt"
+    path.write_text(_profile_text(".txt", [str(10**15), "50", "40", "30", "20", "10", "5", "3"]))
+    assert run(command, str(path))[0] == 0
 
 
 def test_indices_parse_error_exits_2(tmp_path):
@@ -149,6 +184,20 @@ def test_negative_precision_exits_2(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value, message", [
+    ("abc", "invalid int value: 'abc'"),
+    ("18", "must be <= 17, got 18"),
+    ("99999999999", "must be <= 17, got 99999999999"),
+], ids=["not_int", "18", "huge"])
+def test_bad_precision_exits_2(capsys, value, message):
+    with pytest.raises(SystemExit) as exc:
+        run("indices", f"{FIXTURES}/garfield.csv", "--precision", value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --precision: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_indices_csv_output_roundtrip():
     code, out = run("indices", f"{FIXTURES}/garfield.csv", "--csv", "--precision", "10")
     assert code == 0
@@ -208,14 +257,19 @@ def test_partition_mode_with_exact():
     assert "exact 11" in out
 
 
-def test_partition_resource_limit_exits_5(monkeypatch):
-    monkeypatch.setenv("CITEST_MAX_N", "50")
-    code, _ = run("partition", "durfee-dist", "60")
+def test_partition_mode_beyond_float_range_exits_2(capsys):
+    assert run("partition", "mode", "1" + "0" * 400) == (2, "")
+    assert capsys.readouterr().err == (
+        "citest: bad input: n must be below 1.8e+308 for the mode formula\n"
+    )
+
+
+def test_partition_resource_limit_exits_5():
+    code, _ = run("partition", "durfee-dist", "5001")
     assert code == 5
 
 
-def test_partition_out_file_written_only_on_success(tmp_path, monkeypatch):
-    monkeypatch.delenv("CITEST_MAX_N", raising=False)
+def test_partition_out_file_written_only_on_success(tmp_path):
     out = tmp_path / "keep.txt"
     out.write_bytes(b"earlier result\n")
     assert run("partition", "count", "6000", "--out", str(out)) == (5, "")
@@ -277,6 +331,22 @@ def test_table_diff_mismatch_exits_1(tmp_path):
     fails = [r for r in csv.reader(io.StringIO(out)) if r and r[-1] == "FAIL"]
     assert sorted(r[1] for r in fails) == ["a", "b", "b_dprime", "b_prime", "j_d", "j_d1"]
     assert {r[0] for r in fails} == {"garfield"}
+
+
+@pytest.mark.parametrize("table", ["1", "2", "5"])
+def test_expected_cells_name_filled_columns(table):
+    # the diff report checks every expected cell, so each must be in the table
+    expected = {
+        "1": refdata.TABLE1_EXPECTED,
+        "2": refdata.TABLE2_EXPECTED,
+        "5": refdata.TABLE5_EXPECTED,
+    }[table]
+    code, out = run("table", table, "--fixtures", FIXTURES)
+    assert code == 0
+    rows = {row["researcher"]: row for row in csv.DictReader(io.StringIO(out))}
+    for name, cells in expected.items():
+        for cell in cells:
+            assert rows[name].get(cell), (name, cell)
 
 
 def test_table_5_diff_all_ok():

@@ -1,0 +1,93 @@
+"""Fuzz the CLI's error contract in process.
+
+Every run of ``main(argv)`` returns an exit code in 0..6 and lets no exception
+escape; a run that fails (exit 2..6) prints exactly one ``citest: `` line on
+stderr and a run that succeeds prints nothing there.  Inputs are random bytes
+and lines/CSV/JSON skeletons whose values include byte-order marks, non-ASCII
+digits and counts beyond float range, read under every ``--format``.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from citest.cli import main
+from citest.partitions import MAX_N
+
+NUMBERS = st.one_of(
+    st.integers(0, 2000).map(str),
+    st.sampled_from([
+        "0", "-3", "1_000", "\u0661\u0662", "9" * 200, "1" * 310,
+        str(10**15), str(10**15 + 1), "1" * 5000,
+    ]),
+)
+JUNK = st.sampled_from(["1.5", "1e400", "x", "", " 7 "])
+
+
+@st.composite
+def _input(draw):
+    """(file bytes, --format): a skeleton read mostly under its own format."""
+    formats = ["csv", "json", "lines"]
+    shape = draw(st.sampled_from([*formats, "bytes"]))
+    if shape == "bytes":
+        return draw(st.binary(max_size=200)), draw(st.sampled_from(formats))
+    fmt = draw(st.sampled_from(formats + [shape] * 3))
+    values = draw(st.lists(NUMBERS, max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        values.insert(draw(st.integers(0, len(values))), draw(JUNK))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    if shape == "lines":
+        text = "\n".join(values)
+    elif shape == "csv":
+        text = "name,citations\n" + "".join(f"n,{v}\n" for v in values)
+    else:
+        text = '{"name": "n", "citations": [' + ", ".join(values) + "]}"
+    return (bom + text).encode("utf-8"), fmt
+
+
+FILE_COMMANDS = st.one_of(
+    st.just(["indices"]),
+    st.just(["estimate"]),
+    st.integers(0, 15).map(lambda k: ["estimate", "--blind", str(k)]),
+    st.just(["estimate", "--ladder"]),
+)
+PARTITION_N = st.one_of(
+    st.integers(-2, 60),
+    st.sampled_from([MAX_N - 1, MAX_N, MAX_N + 1, 10**399, 10**400 - 1]),
+)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _check(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in range(7)
+    lines = err.getvalue().splitlines()
+    if code >= 2:
+        assert len(lines) == 1 and lines[0].startswith("citest: "), lines
+    elif code == 0:
+        assert lines == []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data_fmt=_input(), command=FILE_COMMANDS)
+def test_file_commands_keep_the_error_contract(workdir, data_fmt, command):
+    data, fmt = data_fmt
+    path = workdir / "input"
+    path.write_bytes(data)
+    _check([*command, str(path), "--format", fmt])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sub=st.sampled_from(["count", "durfee-dist", "mode"]), n=PARTITION_N)
+def test_partition_commands_keep_the_error_contract(sub, n):
+    _check(["partition", sub, str(n)])

@@ -2,14 +2,17 @@ import math
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from citest import (
+    CitationProfile,
     DegenerateCore,
     GroundTruthUnavailable,
     InsufficientTail,
     WrongCase,
     brown_interval,
     compute_core_indices,
+    enumerate_partitions,
     error_metrics,
     estimate_A_quick,
     estimate_report,
@@ -170,6 +173,11 @@ def _fake_case2(h_val):
 def test_estimate_A_quick_plugin():
     quick = estimate_A_quick(_fake_case2(3), [0])
     assert abs(quick - 61.63) < 0.01
+
+
+def test_estimate_A_quick_short_head():
+    with pytest.raises(ValueError, match="at least 1 ranks"):
+        estimate_A_quick(_fake_case2(3), [])
 
 
 def test_estimate_A_quick_wrong_case(fixture_profile):
@@ -398,6 +406,33 @@ def test_report_shifted_normal_approximations(fixture_profile):
     assert abs(report.h_na - 57.994) < 0.005
     assert abs(report.h_na_d - 22.165) < 0.005
     assert report.h_na_d1 == pytest.approx(h_na(1609))
+
+
+def _check_case4_bounds(values) -> bool:
+    """On a case-4 profile, assert that neither of the hard bounds that case 2
+    mirrors would apply; return whether the profile is case 4."""
+    defect = h_defect(CitationProfile(tuple(values)))
+    if defect.case_tag != "case4":
+        return False
+    row_d, row_d1 = defect.row_d, defect.row_d1
+    ex_d = row_d.n_h_k - row_d.h_k**2
+    ex_d1 = row_d1.n_h_k - row_d1.h_k**2
+    assert (row_d.h_k - 1) ** 2 <= ex_d
+    assert ex_d1 <= (row_d1.h_k + 1) ** 2
+    return True
+
+
+def test_case4_never_takes_a_hard_bound():
+    # every partition of n <= 30 (n = 0 has no core)
+    seen = sum(
+        _check_case4_bounds(part.parts) for n in range(1, 31) for part in enumerate_partitions(n)
+    )
+    assert seen == 4476
+
+
+@given(st.one_of(profiles(), steep_profiles()))
+def test_case4_never_takes_a_hard_bound_on_random_profiles(values):
+    _check_case4_bounds(values)
 
 
 def test_report_blind_omits_totals(fixture_profile):

@@ -16,6 +16,7 @@ from citest import (
     hardy_ramanujan,
     partition_count,
 )
+from citest.partitions import MAX_N
 
 
 def test_partition_count_small():
@@ -75,12 +76,10 @@ def test_count_by_durfee_sums_to_partition_count():
         assert all(d * d <= n for d in dist.counts)
 
 
-def test_count_by_durfee_resource_limit(monkeypatch):
-    monkeypatch.setenv("CITEST_MAX_N", "100")
+def test_count_by_durfee_resource_limit():
     with pytest.raises(ResourceLimit):
-        count_by_durfee(101)
-    monkeypatch.delenv("CITEST_MAX_N")
-    count_by_durfee(101)  # default ceiling is far higher
+        count_by_durfee(MAX_N + 1)
+    count_by_durfee(101)  # the ceiling is far higher
 
 
 def test_enumerate_partitions_of_5_in_order():

@@ -12,6 +12,7 @@ from citest import (
     normalize,
     truncate_head,
 )
+from citest.profile import MAX_CITATIONS
 
 from conftest import profiles
 
@@ -41,6 +42,12 @@ def test_normalize_rejects_non_integers():
         normalize([1, 2.5, 3])
     with pytest.raises(ParseError):
         normalize([1, True, 3])
+
+
+def test_normalize_rejects_count_above_maximum():
+    assert normalize([1, MAX_CITATIONS]).citations == (MAX_CITATIONS, 1)
+    with pytest.raises(ParseError, match="above the maximum"):
+        normalize([1, MAX_CITATIONS + 1])
 
 
 def test_zero_entries_are_retained():
@@ -85,6 +92,33 @@ def test_load_json():
 def test_load_json_requires_citations():
     with pytest.raises(ParseError):
         load_profile(io.StringIO('{"name": "X"}'), "json")
+
+
+def test_load_json_syntax_error_names_line():
+    with pytest.raises(ParseError) as err:
+        load_profile(io.StringIO('{"name": "X",\n "citations": [1, 2,\n}'), "json")
+    assert err.value.line == 3
+
+
+def test_load_json_citations_must_be_an_array():
+    with pytest.raises(ParseError, match="'citations' must be an array"):
+        load_profile(io.StringIO('{"citations": 5}'), "json")
+
+
+def test_load_profile_rejects_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        load_profile(io.StringIO("5\n"), "xml")
+
+
+@pytest.mark.parametrize("fmt, text, line", [
+    ("lines", "5\n" + "1" * 5000 + "\n", 2),
+    ("csv", "citations\n" + "1" * 5000 + "\n", 2),
+], ids=["lines", "csv"])
+def test_digit_string_past_int_limit_is_too_large(fmt, text, line):
+    # int() refuses decimal strings over 4300 digits; the value is not echoed
+    with pytest.raises(ParseError) as err:
+        load_profile(io.StringIO(text), fmt)
+    assert str(err.value) == f"line {line}: citation count too large"
 
 
 def test_load_csv_with_metadata_and_comments():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from citest import (
+    IndexUnderflow,
     InsufficientTail,
     RankOutOfRange,
     check_transition,
@@ -214,6 +215,14 @@ def test_defect_bounds(values):
     d = h_defect(p)
     assert 0 <= d.d <= h_index(p)
     assert len(d.rows) >= d.d + 1
+
+
+def test_ladder_past_last_cited_rank_raises():
+    # rows 0 and 1 have h = 1; removing the second entry leaves no cited one
+    p = normalize([3, 1, 0, 0])
+    assert [row.h_k for row in shifted_ladder(p, 1)] == [1, 1]
+    with pytest.raises(IndexUnderflow):
+        shifted_ladder(p, 2)
 
 
 def test_insufficient_tail_raises():
