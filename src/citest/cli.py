@@ -35,7 +35,7 @@ from .estimators import (
     interval_variants,
 )
 from .indices import compute_core_indices
-from .partitions import MAX_N, count_by_durfee, durfee_mode_formula, partition_count
+from .partitions import count_by_durfee, durfee_mode_formula, partition_count
 from .profile import load_profile, truncate_head
 from .shifted import h_defect
 
@@ -176,8 +176,6 @@ def cmd_partition(args) -> int:
     # the whole output is built first: a failing command leaves --out alone
     out = io.StringIO()
     if args.sub == "count":
-        if args.n > MAX_N:
-            raise ResourceLimit(args.n, MAX_N)
         out.write(f"{partition_count(args.n)}\n")
     elif args.sub == "durfee-dist":
         dist = count_by_durfee(args.n)

@@ -70,12 +70,14 @@ class GroundTruthUnavailable(CitestError):
 
 
 class ResourceLimit(CitestError):
-    """Requested computation exceeds the configured size ceiling."""
+    """Requested computation exceeds the size ceiling."""
 
     def __init__(self, n: int, ceiling: int):
         self.n = n
         self.ceiling = ceiling
-        super().__init__(f"n={n} exceeds the configured ceiling of {ceiling}")
+        # an n past 20 digits is named by its length, not echoed in full
+        shown = f"n={n}" if n < 10**20 else f"a {len(str(n))}-digit n"
+        super().__init__(f"{shown} exceeds the ceiling of {ceiling}")
 
 
 class NegativeArgument(CitestError, ValueError):

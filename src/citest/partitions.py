@@ -12,14 +12,14 @@ the citation estimators rely on.
 from __future__ import annotations
 
 import math
-import threading
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import accumulate
 
 from .constants import DURFEE_MODE_COEFF
 from .errors import NegativeArgument, ResourceLimit
 
-MAX_N = 5000  # ceiling on n for the Durfee distribution and ``partition count``
+MAX_N = 5000  # ceiling on n for both exact algorithms
 ENUM_MAX_N = 45  # brute-force enumeration yields all p(n) partitions
 
 
@@ -52,39 +52,27 @@ def durfee_size(part: Partition | tuple[int, ...] | list[int]) -> int:
     return d
 
 
-_pentagonal_cache: list[int] = [1]
-_pentagonal_lock = threading.Lock()
-
-
 def partition_count(n: int) -> int:
     """Exact p(n) via the pentagonal-number recurrence; p(0) = 1."""
     if n < 0:
         raise NegativeArgument(f"n must be >= 0, got {n}")
-    cache = _pentagonal_cache
-    if len(cache) > n:
-        return cache[n]
-    with _pentagonal_lock:
-        _grow_pentagonal_cache(n)
-    return cache[n]
-
-
-def _grow_pentagonal_cache(n: int) -> None:
-    cache = _pentagonal_cache
-    while len(cache) <= n:
-        m = len(cache)
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > m:
-                break
-            sign = 1 if k % 2 == 1 else -1
-            total += sign * cache[m - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= m:
-                total += sign * cache[m - g2]
-            k += 1
-        cache.append(total)
+    if n > MAX_N:
+        raise ResourceLimit(n, MAX_N)
+    # generalized pentagonal offsets g = k(3k-1)/2 and g + k = k(3k+1)/2 up
+    # to n: p(m - g) is added for odd k and subtracted for even k
+    plus: list[int] = []
+    minus: list[int] = []
+    k = 1
+    while (g := k * (3 * k - 1) // 2) <= n:
+        side = plus if k % 2 else minus
+        side.append(g)
+        if g + k <= n:
+            side.append(g + k)
+        k += 1
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        p[m] = sum([p[m - g] for g in plus if g <= m]) - sum([p[m - g] for g in minus if g <= m])
+    return p[n]
 
 
 class DurfeeDistribution(
@@ -120,9 +108,8 @@ def count_by_durfee(n: int) -> DurfeeDistribution:
         # multiply by 1/(1-x^d)^2: two prefix-sum passes with stride d; this
         # and every later stage read no coefficient past n - d^2
         top = n - d * d
-        for _ in range(2):
-            for i in range(d, top + 1):
-                coeffs[i] += coeffs[i - d]
+        for r in range(d):
+            coeffs[r:top + 1:d] = accumulate(accumulate(coeffs[r:top + 1:d]))
         counts[d] = coeffs[top]
         d += 1
 

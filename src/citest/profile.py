@@ -140,8 +140,8 @@ def _load_json(first: str, rest: io.TextIOBase) -> CitationProfile:
         raise ParseError(exc.lineno, exc.msg) from None
     except RecursionError:
         raise ParseError(None, "JSON arrays or objects nested too deeply") from None
-    except ValueError as exc:  # an integer past the interpreter's digit limit
-        raise ParseError(None, str(exc)) from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ParseError(None, "citation count too large") from None
     if not isinstance(payload, dict) or "citations" not in payload:
         raise ParseError(1, "JSON object must contain a 'citations' array")
     raw = payload["citations"]

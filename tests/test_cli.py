@@ -269,6 +269,13 @@ def test_partition_resource_limit_exits_5():
     assert code == 5
 
 
+def test_resource_limit_names_a_long_n_by_its_length(capsys):
+    code, _ = run("partition", "count", "1" + "0" * 60)
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err == "citest: resource ceiling: a 61-digit n exceeds the ceiling of 5000\n"
+
+
 def test_partition_out_file_written_only_on_success(tmp_path):
     out = tmp_path / "keep.txt"
     out.write_bytes(b"earlier result\n")

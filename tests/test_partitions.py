@@ -69,17 +69,20 @@ def test_count_by_durfee_edges():
 
 
 def test_count_by_durfee_sums_to_partition_count():
-    for n in (2, 17, 60, 121, 250):
+    # sum_d x^(d^2) / ((x;x)_d)^2 = 1 / (x;x)_inf, sampled up to the ceiling
+    for n in (2, 17, 60, 121, *range(250, MAX_N + 1, 250), MAX_N - 1):
         dist = count_by_durfee(n)
         assert dist.total == partition_count(n)
         assert sum(dist.counts.values()) == dist.total
         assert all(d * d <= n for d in dist.counts)
 
 
-def test_count_by_durfee_resource_limit():
+@pytest.mark.parametrize("exact", [count_by_durfee, partition_count],
+                         ids=["count_by_durfee", "partition_count"])
+def test_count_by_durfee_resource_limit(exact):
     with pytest.raises(ResourceLimit):
-        count_by_durfee(MAX_N + 1)
-    count_by_durfee(101)  # the ceiling is far higher
+        exact(MAX_N + 1)
+    exact(101)  # the ceiling is far higher
 
 
 def test_enumerate_partitions_of_5_in_order():

@@ -113,12 +113,14 @@ def test_load_profile_rejects_unknown_format():
 @pytest.mark.parametrize("fmt, text, line", [
     ("lines", "5\n" + "1" * 5000 + "\n", 2),
     ("csv", "citations\n" + "1" * 5000 + "\n", 2),
-], ids=["lines", "csv"])
+    ("json", '{"citations": [5, ' + "1" * 5000 + "]}", None),
+], ids=["lines", "csv", "json"])
 def test_digit_string_past_int_limit_is_too_large(fmt, text, line):
     # int() refuses decimal strings over 4300 digits; the value is not echoed
     with pytest.raises(ParseError) as err:
         load_profile(io.StringIO(text), fmt)
-    assert str(err.value) == f"line {line}: citation count too large"
+    assert err.value.line == line
+    assert err.value.reason == "citation count too large"
 
 
 def test_load_csv_with_metadata_and_comments():

@@ -62,7 +62,8 @@ def test_record_refuses_assignment(kind):
 
 
 def test_cli_import_leaves_heavy_modules_out():
-    heavy = ["dataclasses", "typing", "pathlib", "inspect", "datetime", "fractions", "decimal"]
+    heavy = ["dataclasses", "typing", "pathlib", "inspect", "datetime", "fractions", "decimal",
+             "threading"]
     code = "import sys, citest.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, *heavy],
