@@ -345,16 +345,28 @@ def cmd_table(args) -> int:
 
 # ------------------------------------------------------------- driver
 
-def _precision(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    if value > 17:  # 17 significant digits identify every double
-        raise argparse.ArgumentTypeError(f"must be <= 17, got {value}")
-    return value
+def _integer(low: int | None = None, high: int | None = None):
+    """An argparse type with the integer grammar of input files.
+
+    ASCII digits after an optional '-', within ``low``..``high`` when given.
+    An argument past 20 characters is named by its length, never echoed.
+    """
+
+    def parse(text: str) -> int:
+        long = f"a {len(text)}-character argument" if len(text) > 20 else ""
+        if not (text.removeprefix("-").isdigit() and text.isascii()):
+            raise argparse.ArgumentTypeError(f"invalid int value: {long or repr(text)}")
+        try:
+            value = int(text)
+        except ValueError:  # int() refuses a digit string past its limit
+            raise argparse.ArgumentTypeError(f"{long} has too many digits") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {long or value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {long or value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="citation indices, total-citation estimators, partition statistics",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=_precision, default=6,
+    # 17 significant digits identify every double
+    common.add_argument("--precision", type=_integer(0, 17), default=6,
                         help="significant digits for real-valued output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -379,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="total-citation estimate from the h-core")
     p_est.add_argument("file")
     p_est.add_argument("--format", choices=["json", "csv", "lines"])
-    p_est.add_argument("--blind", type=int, default=None, metavar="K",
+    p_est.add_argument("--blind", type=_integer(), default=None, metavar="K",
                        help="use only the top K ranks")
     p_est.add_argument("--ladder", action="store_true",
                        help="emit the shifted-index ladder rows 0..d+1 as CSV")
@@ -389,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_part = sub.add_parser("partition", parents=[common],
                             help="exact partition computations")
     p_part.add_argument("sub", choices=["count", "durfee-dist", "mode"])
-    p_part.add_argument("n", type=int)
+    p_part.add_argument("n", type=_integer())
     p_part.add_argument("--out", default=None)
     p_part.set_defaults(func=cmd_partition)
 

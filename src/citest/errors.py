@@ -75,10 +75,23 @@ class ResourceLimit(CitestError):
     def __init__(self, n: int, ceiling: int):
         self.n = n
         self.ceiling = ceiling
-        # an n past 20 digits is named by its length, not echoed in full
-        shown = f"n={n}" if n < 10**20 else f"a {len(str(n))}-digit n"
-        super().__init__(f"{shown} exceeds the ceiling of {ceiling}")
+        super().__init__(f"{shown('n', n)} exceeds the ceiling of {ceiling}")
 
 
 class NegativeArgument(CitestError, ValueError):
     """A non-negative integer argument was required."""
+
+
+def shown(name: str, n: int) -> str:
+    """``name=n`` for a message, or ``a 61-digit name`` for an n past 20 digits."""
+    if abs(n) < 10**20:
+        return f"{name}={n}"
+    # str(n) refuses n past int()'s digit limit, so the digits are counted
+    # from the bit length: 1233/4096 is just below log10(2), so k starts at
+    # or below the answer
+    n = abs(n)
+    k = (n.bit_length() - 1) * 1233 // 4096 + 1
+    while n >= 10**k:
+        k += 1
+    return f"a {k}-digit {name}"
+

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from functools import cached_property
 from itertools import chain
 
-from .errors import NegativeCitation, ParseError, RankOutOfRange
+from .errors import NegativeCitation, ParseError, RankOutOfRange, shown
 
 # far above any real count; sums, squares and interval bounds stay finite floats
 MAX_CITATIONS = 10**15
@@ -62,37 +62,63 @@ def normalize(raw: Iterable[int], name: str = "") -> CitationProfile:
     Entries must be integers in 0..``MAX_CITATIONS``, in any order.  Raises
     ``NegativeCitation`` at the first negative input position, else ``ParseError``.
     """
-    entries = []
-    for i, value in enumerate(raw):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(None, f"citation at position {i} must be an integer, got {value!r}")
-        if value < 0:
-            raise NegativeCitation(i, value)
-        entries.append(value)
+    return _profile(list(raw), name)
+
+
+def _profile(entries: list, name: str = "") -> CitationProfile:
+    # ``entries`` is the caller's own list and is sorted in place.  Two C-level
+    # checks cover the usual input; the loop runs only to name a bad position.
+    if not set(map(type, entries)) <= {int} or (entries and min(entries) < 0):
+        for i, value in enumerate(entries):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParseError(None, f"citation at position {i} must be an integer, got {value!r}")
+            if value < 0:
+                raise NegativeCitation(i, value)
     entries.sort(reverse=True)
     if entries and entries[0] > MAX_CITATIONS:
         raise ParseError(None, f"citation count above the maximum of {MAX_CITATIONS}")
     return CitationProfile(citations=tuple(entries), name=name)
 
 
-def _bad_count(line: int, text: str) -> ParseError:
-    # int() refuses a decimal string past the interpreter's digit limit
-    if text.isdecimal():
-        return ParseError(line, "citation count too large")
-    return ParseError(line, f"expected a decimal integer, got {text!r}")
+_TOO_LARGE = "citation count too large"
+
+
+def _is_digits(text: str) -> bool:
+    # the grammar of a count; the CSV loop spells it out inline, per cell
+    return text.isdigit() and text.isascii()
+
+
+def _count(line: int, text: str) -> int:
+    """Read one stripped value that the fast path turned down, or raise.
+
+    A value is ASCII digits; a leading ``-`` is read too, so that normalizing
+    names the negative count with its position.
+    """
+    if _is_digits(text.removeprefix("-")):
+        try:
+            return int(text)
+        except ValueError:  # int() refuses a digit string past its limit
+            if text.isdigit():
+                raise ParseError(line, _TOO_LARGE) from None
+    raise ParseError(line, f"expected a decimal integer, got {text!r}")
+
+
+def _line_values(lines: list[str]) -> list[int]:
+    # one check over the whole text: a line with a sign, a space or a
+    # non-ASCII digit fails it, and so does a line holding two values.  The
+    # joined copy lives only for the call, so it is freed before the ints exist.
+    if _is_digits("".join(lines)):
+        try:
+            return list(map(int, filter(None, lines)))
+        except ValueError:  # int()'s digit limit: the scan below words it
+            pass
+    return [_count(lineno, text) for lineno, line in enumerate(lines, start=1)
+            if (text := line.strip())]
 
 
 def _load_lines(first: str, rest: io.TextIOBase) -> CitationProfile:
-    values = []
-    for lineno, line in enumerate(chain((first,), rest), start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            values.append(int(text))
-        except ValueError:
-            raise _bad_count(lineno, text) from None
-    return normalize(values)
+    # the line list is dropped before the profile is built
+    return _profile(_line_values((first + rest.read()).split("\n")))
 
 
 def _load_csv(first: str, rest: io.TextIOBase) -> CitationProfile:
@@ -113,23 +139,22 @@ def _load_csv(first: str, rest: io.TextIOBase) -> CitationProfile:
     columns = {column: i for i, column in enumerate(next(rows, []))}
     if "citations" not in columns:
         raise ParseError(reader.line_num or 1, "CSV header must contain a 'citations' column")
-
-    def cell(row: list[str], column: str) -> str:
-        i = columns.get(column)
-        return row[i].strip() if i is not None and i < len(row) else ""
+    at = columns["citations"]
 
     values: list[int] = []
     meta: list[str] = []  # the name, when present, sits on the first data row
     for row in rows:
         meta = meta or row
-        text = cell(row, "citations")
-        if not text:
-            continue
-        try:
-            values.append(int(text))
-        except ValueError:
-            raise _bad_count(reader.line_num, text) from None
-    return normalize(values, name=cell(meta, "name"))
+        text = row[at].strip() if at < len(row) else ""
+        if text.isdigit() and text.isascii():
+            try:
+                values.append(int(text))
+            except ValueError:  # int()'s digit limit
+                raise ParseError(reader.line_num, _TOO_LARGE) from None
+        elif text:  # ``line_num`` still names this row
+            values.append(_count(reader.line_num, text))
+    i = columns.get("name")
+    return _profile(values, meta[i].strip() if i is not None and i < len(meta) else "")
 
 
 def _load_json(first: str, rest: io.TextIOBase) -> CitationProfile:
@@ -141,13 +166,13 @@ def _load_json(first: str, rest: io.TextIOBase) -> CitationProfile:
     except RecursionError:
         raise ParseError(None, "JSON arrays or objects nested too deeply") from None
     except ValueError:  # an integer past the interpreter's digit limit
-        raise ParseError(None, "citation count too large") from None
+        raise ParseError(None, _TOO_LARGE) from None
     if not isinstance(payload, dict) or "citations" not in payload:
         raise ParseError(1, "JSON object must contain a 'citations' array")
     raw = payload["citations"]
     if not isinstance(raw, list):
         raise ParseError(1, "'citations' must be an array of integers")
-    return normalize(raw, name=str(payload.get("name", "")))
+    return _profile(raw, str(payload.get("name", "")))
 
 
 def load_profile(stream: io.TextIOBase, format: str) -> CitationProfile:
@@ -158,7 +183,7 @@ def load_profile(stream: io.TextIOBase, format: str) -> CitationProfile:
     loaders = {"lines": _load_lines, "csv": _load_csv, "json": _load_json}
     if format not in loaders:
         raise ValueError(f"unknown format {format!r}; expected one of {sorted(loaders)}")
-    # only the first line is read ahead; the loaders stream the rest
+    # only the first line is read ahead; csv streams the rest, the others read it whole
     first = stream.readline().removeprefix("\ufeff")
     return loaders[format](first, stream)
 
@@ -166,7 +191,7 @@ def load_profile(stream: io.TextIOBase, format: str) -> CitationProfile:
 def truncate_head(profile: CitationProfile, m: int) -> CitationProfile:
     """Return the first ``m`` ranks of ``profile`` as a blind-estimation head."""
     if m < 0 or m > profile.p:
-        raise RankOutOfRange(f"m={m} outside 0..{profile.p}")
+        raise RankOutOfRange(f"{shown('m', m)} outside 0..{profile.p}")
     return CitationProfile(
         citations=profile.citations[:m],
         name=profile.name,

@@ -198,6 +198,48 @@ def test_bad_precision_exits_2(capsys, value, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["partition", "count", "1_000"], "argument n: invalid int value: '1_000'"),
+    (["partition", "count", "+5"], "argument n: invalid int value: '+5'"),
+    (["estimate", f"{FIXTURES}/garfield.csv", "--blind", "\u0664\u0667"],
+     "argument --blind: invalid int value: '\u0664\u0667'"),
+    (["table", "8", "--precision", "\u0661"], "argument --precision: invalid int value: '\u0661'"),
+], ids=["underscore", "plus", "arabic_indic_blind", "arabic_indic_precision"])
+def test_integer_arguments_read_ascii_digits_only(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["partition", "count"], "n"),
+    (["estimate", f"{FIXTURES}/garfield.csv", "--blind"], "--blind"),
+    (["table", "8", "--precision"], "--precision"),
+], ids=["n", "blind", "precision"])
+@pytest.mark.parametrize("value, message", [
+    ("1" * 5000, "a 5000-character argument has too many digits"),
+    ("1" * 4999 + "x", "invalid int value: a 5000-character argument"),
+], ids=["past_int_limit", "not_an_integer"])
+def test_long_integer_argument_is_named_by_its_length(capsys, argv, name, value, message):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f": error: argument {name}: {message}\n")
+    assert len(err) < 500
+
+
+def test_negative_n_keeps_its_message(capsys):
+    assert run("partition", "count", "-2") == (2, "")
+    assert capsys.readouterr().err == "citest: bad input: n must be >= 0, got -2\n"
+
+
+def test_long_blind_prefix_is_named_by_its_length(capsys):
+    assert run("estimate", f"{FIXTURES}/garfield.csv", "--blind", "1" + "0" * 30) == (2, "")
+    assert capsys.readouterr().err == "citest: bad input: a 31-digit m outside 0..106\n"
+
+
 def test_indices_csv_output_roundtrip():
     code, out = run("indices", f"{FIXTURES}/garfield.csv", "--csv", "--precision", "10")
     assert code == 0

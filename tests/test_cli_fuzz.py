@@ -20,7 +20,7 @@ from citest.partitions import MAX_N
 NUMBERS = st.one_of(
     st.integers(0, 2000).map(str),
     st.sampled_from([
-        "0", "-3", "1_000", "\u0661\u0662", "9" * 200, "1" * 310,
+        "0", "-3", "1_000", "+5", "\u0661\u0662", "9" * 200, "1" * 310,
         str(10**15), str(10**15 + 1), "1" * 5000,
     ]),
 )
@@ -85,6 +85,22 @@ def test_file_commands_keep_the_error_contract(workdir, data_fmt, command):
     path = workdir / "input"
     path.write_bytes(data)
     _check([*command, str(path), "--format", fmt])
+
+
+@pytest.mark.parametrize("fmt, text, line", [
+    ("lines", "3\n{}\n4\n", 2),
+    ("csv", "# note\nname,citations\nn,3\n\nn,{}\n", 5),
+])
+@pytest.mark.parametrize("form", ["1_000", "+5", "\u0661\u0662"],
+                         ids=["underscore", "plus", "arabic_indic"])
+def test_int_only_forms_exit_2_naming_their_line(workdir, capsys, fmt, text, line, form):
+    # int() reads these three, JSON does not; no loader does
+    path = workdir / "int_only"
+    path.write_text(text.format(form), encoding="utf-8")
+    assert main(["indices", str(path), "--format", fmt]) == 2
+    assert capsys.readouterr().err == (
+        f"citest: bad input: line {line}: expected a decimal integer, got {form!r}\n"
+    )
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

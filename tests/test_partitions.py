@@ -83,6 +83,10 @@ def test_count_by_durfee_resource_limit(exact):
     with pytest.raises(ResourceLimit):
         exact(MAX_N + 1)
     exact(101)  # the ceiling is far higher
+    # str() refuses an n past int()'s digit limit; the message counts digits
+    with pytest.raises(ResourceLimit) as err:
+        exact(10**5000)
+    assert str(err.value) == "a 5001-digit n exceeds the ceiling of 5000"
 
 
 def test_enumerate_partitions_of_5_in_order():

@@ -2,7 +2,8 @@ import io
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citest import (
     NegativeCitation,
@@ -236,3 +237,124 @@ def test_truncate_head_out_of_range():
 def test_truncate_full_length_keeps_sequence(values):
     p = normalize(list(values))
     assert truncate_head(p, p.p).citations == p.citations
+
+
+@pytest.mark.parametrize("fmt, header", [("lines", ""), ("csv", "citations\n")])
+@pytest.mark.parametrize("form", ["1_000", "+5", "\u0661\u0662", "1 2"])
+def test_lines_and_csv_read_ascii_digits_only(fmt, header, form):
+    # int() accepts the first three; JSON and every loader here refuse them
+    with pytest.raises(ParseError) as err:
+        load_profile(io.StringIO(f"{header}3\n{form}\n4\n"), fmt)
+    assert err.value.line == 2 + bool(header)
+    assert err.value.reason == f"expected a decimal integer, got {form!r}"
+
+
+def test_leading_minus_is_a_negative_citation():
+    for fmt, header in [("lines", ""), ("csv", "citations\n")]:
+        with pytest.raises(NegativeCitation) as err:
+            load_profile(io.StringIO(f"{header}3\n\n-2\n"), fmt)
+        assert (err.value.index, err.value.value) == (1, -2)
+        assert load_profile(io.StringIO(f"{header}-0\n 7\r\n"), fmt).citations == (7, 0)
+
+
+# ---------------------------------------------------------------- fast path = slow path
+# The loaders check a whole input at once and fall back to reading it line
+# by line only to word an error.  These references are the line-by-line
+# reading and the per-entry validation, written out plainly.
+
+def _reference_normalize(raw):
+    entries = []
+    for i, value in enumerate(raw):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(None, f"citation at position {i} must be an integer, got {value!r}")
+        if value < 0:
+            raise NegativeCitation(i, value)
+        entries.append(value)
+    entries.sort(reverse=True)
+    if entries and entries[0] > MAX_CITATIONS:
+        raise ParseError(None, f"citation count above the maximum of {MAX_CITATIONS}")
+    return tuple(entries)
+
+
+def _reference_load(lines, first_line):
+    """ASCII digits after stripping, one value per line; a '-' makes a negative."""
+    values = []
+    for lineno, line in enumerate(lines, start=first_line):
+        text = line.strip()
+        if not text:
+            continue
+        digits = text[1:] if text.startswith("-") else text
+        if not digits or any(c not in "0123456789" for c in digits):
+            raise ParseError(lineno, f"expected a decimal integer, got {text!r}")
+        try:
+            values.append(int(text))
+        except ValueError:  # past int()'s digit limit
+            if digits != text:
+                raise ParseError(lineno, f"expected a decimal integer, got {text!r}") from None
+            raise ParseError(lineno, "citation count too large") from None
+    return _reference_normalize(values)
+
+
+def _outcome(read, *args):
+    try:
+        result = read(*args)
+    except (ParseError, NegativeCitation) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return getattr(result, "citations", result)
+
+
+CLEAN = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["1" * 5000, str(MAX_CITATIONS), str(MAX_CITATIONS + 1)]),
+)
+ODD = st.sampled_from([
+    "", "-3", "-0", "-", "+5", "1_000", "\u0661\u0662", "1 2", "007", "-" + "1" * 5000,
+])
+
+
+@st.composite
+def _file_lines(draw):
+    """Lines without their '\\n' (a CRLF ending leaves its '\\r'), and the text."""
+    lines = draw(st.lists(CLEAN | st.just(""), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):  # a few odd lines among clean ones
+        odd = draw(ODD)
+        if draw(st.booleans()):
+            odd = draw(st.sampled_from([" ", "\t"])) + odd + draw(st.sampled_from(["", "  "]))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    if draw(st.booleans()):
+        lines = [line + "\r" for line in lines]
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return lines, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_file_lines())
+def test_load_lines_matches_per_line_reading(drawn):
+    lines, text = drawn
+    got = _outcome(load_profile, io.StringIO(text), "lines")
+    assert got == _outcome(_reference_load, lines, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_file_lines())
+def test_load_csv_matches_per_line_reading(drawn):
+    lines, text = drawn
+    got = _outcome(load_profile, io.StringIO("citations\n" + text), "csv")
+    assert got == _outcome(_reference_load, lines, 2)
+
+
+ENTRY = st.one_of(
+    st.integers(0, 10**6),
+    st.integers(-5, -1),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.sampled_from([MAX_CITATIONS, MAX_CITATIONS + 1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(ENTRY, max_size=10), st.lists(st.integers(0, 10**6), max_size=10)))
+def test_normalize_matches_per_entry_validation(raw):
+    before = list(raw)
+    assert _outcome(normalize, raw) == _outcome(_reference_normalize, raw)
+    assert raw == before  # the caller's list is copied, not sorted in place
