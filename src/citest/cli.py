@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     RankOutOfRange,
     ResourceLimit,
+    quoted,
 )
 from .estimators import (
     brown_interval,
@@ -349,21 +350,20 @@ def _integer(low: int | None = None, high: int | None = None):
     """An argparse type with the integer grammar of input files.
 
     ASCII digits after an optional '-', within ``low``..``high`` when given.
-    An argument past 20 characters is named by its length, never echoed.
+    An argument past 20 characters is named by its size, never echoed.
     """
 
     def parse(text: str) -> int:
-        long = f"a {len(text)}-character argument" if len(text) > 20 else ""
         if not (text.removeprefix("-").isdigit() and text.isascii()):
-            raise argparse.ArgumentTypeError(f"invalid int value: {long or repr(text)}")
+            raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text, 'argument')}")
         try:
             value = int(text)
         except ValueError:  # int() refuses a digit string past its limit
-            raise argparse.ArgumentTypeError(f"{long} has too many digits") from None
+            raise argparse.ArgumentTypeError(f"{quoted(text, 'argument')} has too many digits") from None
         if low is not None and value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {long or value}")
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {quoted(value, 'argument')}")
         if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {long or value}")
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {quoted(value, 'argument')}")
         return value
 
     return parse

@@ -13,7 +13,7 @@ class NegativeCitation(CitestError, ValueError):
     def __init__(self, index: int, value: int):
         self.index = index
         self.value = value
-        super().__init__(f"citation at position {index} is negative ({value})")
+        super().__init__(f"citation at position {index} is negative ({quoted(value)})")
 
 
 class ParseError(CitestError, ValueError):
@@ -82,16 +82,40 @@ class NegativeArgument(CitestError, ValueError):
     """A non-negative integer argument was required."""
 
 
-def shown(name: str, n: int) -> str:
-    """``name=n`` for a message, or ``a 61-digit name`` for an n past 20 digits."""
-    if abs(n) < 10**20:
-        return f"{name}={n}"
-    # str(n) refuses n past int()'s digit limit, so the digits are counted
-    # from the bit length: 1233/4096 is just below log10(2), so k starts at
-    # or below the answer
-    n = abs(n)
-    k = (n.bit_length() - 1) * 1233 // 4096 + 1
-    while n >= 10**k:
-        k += 1
-    return f"a {k}-digit {name}"
+def at_least(name: str, value, low: int) -> None:
+    """Raise ``NegativeArgument`` (``n must be >= 0, got -2``) when ``value < low``."""
+    if value < low:
+        raise NegativeArgument(f"{name} must be >= {low}, got {quoted(value)}")
 
+
+def shown(name: str, value) -> str:
+    """``m=5``, or ``a 31-digit m`` for a value too long to echo (see ``_size``)."""
+    size = _size(value)
+    return f"a {size} {name}" if size else f"{name}={value!r}"
+
+
+def quoted(value, noun: str = "value") -> str:
+    """``'x'`` or ``-2``, or ``a 100000-character value`` for a value too long to echo."""
+    size = _size(value)
+    return f"a {size} {noun}" if size else repr(value)
+
+
+def _size(value) -> str:
+    """``''`` for a value a message may echo, else ``31-digit`` or ``5000-character``.
+
+    Echoed are ints up to 20 digits and other values up to 20 characters: a
+    string's own length, or the length of its repr for anything else.
+    """
+    if isinstance(value, int):
+        if abs(value) < 10**20:
+            return ""
+        # str(n) refuses n past int()'s digit limit, so the digits are counted
+        # from the bit length: 1233/4096 is just below log10(2), so k starts at
+        # or below the answer
+        n = abs(value)
+        k = (n.bit_length() - 1) * 1233 // 4096 + 1
+        while n >= 10**k:
+            k += 1
+        return f"{k}-digit"
+    length = len(value if isinstance(value, str) else repr(value))
+    return f"{length}-character" if length > 20 else ""

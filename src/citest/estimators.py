@@ -22,12 +22,7 @@ import math
 from collections import namedtuple
 
 from .constants import DURFEE_MODE_COEFF, INV_COEFF, INV_COEFF_SQ
-from .errors import (
-    DegenerateCore,
-    GroundTruthUnavailable,
-    NegativeArgument,
-    WrongCase,
-)
+from .errors import DegenerateCore, GroundTruthUnavailable, WrongCase, at_least, quoted
 from .indices import CoreIndices, compute_core_indices
 from .profile import CitationProfile
 from .shifted import DefectAnalysis, ShiftedRow, h_defect
@@ -49,8 +44,7 @@ class Interval(namedtuple("Interval", "lo hi")):
 
 def h_na(n_cit: int | float) -> float:
     """Normal approximation of the h-index: 0.5404446394667307 * sqrt(N_cit)."""
-    if n_cit < 0:
-        raise NegativeArgument(f"n_cit must be >= 0, got {n_cit}")
+    at_least("n_cit", n_cit, 0)
     return DURFEE_MODE_COEFF * math.sqrt(n_cit)
 
 
@@ -246,7 +240,7 @@ def _estimate_B(
         )
         return b_prime, b_dprime, (b_prime + b_dprime) / 2.0, weights
 
-    raise WrongCase(f"unrecognized case tag {tag!r}")
+    raise WrongCase(f"unrecognized case tag {quoted(tag)}")
 
 
 def estimate_report(
@@ -296,8 +290,7 @@ def estimate_report(
 
 def brown_interval(n_cit: int | float) -> Interval:
     """Empirical 95% band for h given N_cit: 0.54*sqrt(N) +/- 1.96*(0.57 + 0.045*sqrt(N))."""
-    if n_cit < 0:
-        raise NegativeArgument(f"n_cit must be >= 0, got {n_cit}")
+    at_least("n_cit", n_cit, 0)
     root = math.sqrt(n_cit)
     center = 0.54 * root
     half = 1.96 * (0.57 + 0.045 * root)
@@ -331,8 +324,7 @@ def rules_of_thumb(
     lotka_a: float | None = None,
 ) -> RuleOfThumbSet:
     """The comparator set of published h ~ f(N_cit, ...) approximations."""
-    if n_cit < 1:
-        raise NegativeArgument(f"n_cit must be >= 1, got {n_cit}")
+    at_least("n_cit", n_cit, 1)
     root = math.sqrt(n_cit)
     return RuleOfThumbSet(
         hirsch_band=(math.sqrt(n_cit / 5.0), math.sqrt(n_cit / 3.0)),
@@ -354,8 +346,7 @@ def rules_of_thumb(
 
 def na_ratio_limit(d: int) -> float:
     """Limit of h_NA/h for arithmetic-progression profiles with difference d."""
-    if d < 1:
-        raise NegativeArgument(f"d must be >= 1, got {d}")
+    at_least("d", d, 1)
     return DURFEE_MODE_COEFF * (d + 1) / math.sqrt(2.0 * d)
 
 
@@ -364,8 +355,6 @@ def error_metrics(profile: CitationProfile, report: EstimateReport) -> ErrorMetr
     if not profile.complete:
         raise GroundTruthUnavailable("error metrics need the full profile")
     n_cit = profile.n_cit
-    if n_cit == 0:
-        raise GroundTruthUnavailable("error metrics are undefined for an uncited profile")
     variants = interval_variants(compute_core_indices(profile))
     return ErrorMetrics(
         delta_1=(variants.i_mean - n_cit) / n_cit,

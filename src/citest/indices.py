@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import EmptyCore, InsufficientTail, RankOutOfRange
+from .errors import EmptyCore, InsufficientTail, RankOutOfRange, shown
 from .profile import CitationProfile
 
 
@@ -49,7 +49,7 @@ def h_index(profile: CitationProfile) -> int:
 def core_sum(profile: CitationProfile, s: int) -> int:
     """Total citations up to rank ``s`` (N_cit(s)); core_sum(p, h) = N_cit(h)."""
     if s < 1 or s > profile.p:
-        raise RankOutOfRange(f"rank s={s} outside 1..{profile.p}")
+        raise RankOutOfRange(f"rank {shown('s', s)} outside 1..{profile.p}")
     return sum(profile.citations[:s])
 
 

@@ -17,10 +17,16 @@ from collections.abc import Iterator
 from itertools import accumulate
 
 from .constants import DURFEE_MODE_COEFF
-from .errors import NegativeArgument, ResourceLimit
+from .errors import ResourceLimit, at_least
 
 MAX_N = 5000  # ceiling on n for both exact algorithms
 ENUM_MAX_N = 45  # brute-force enumeration yields all p(n) partitions
+
+
+def _bounded(n: int, ceiling: int) -> None:
+    at_least("n", n, 0)
+    if n > ceiling:
+        raise ResourceLimit(n, ceiling)
 
 
 class Partition(namedtuple("Partition", "parts")):
@@ -54,10 +60,7 @@ def durfee_size(part: Partition | tuple[int, ...] | list[int]) -> int:
 
 def partition_count(n: int) -> int:
     """Exact p(n) via the pentagonal-number recurrence; p(0) = 1."""
-    if n < 0:
-        raise NegativeArgument(f"n must be >= 0, got {n}")
-    if n > MAX_N:
-        raise ResourceLimit(n, MAX_N)
+    _bounded(n, MAX_N)
     # generalized pentagonal offsets g = k(3k-1)/2 and g + k = k(3k+1)/2 up
     # to n: p(m - g) is added for odd k and subtracted for even k
     plus: list[int] = []
@@ -91,17 +94,8 @@ def count_by_durfee(n: int) -> DurfeeDistribution:
     """
     from fractions import Fraction  # only the exact moments need it
 
-    if n < 0:
-        raise NegativeArgument(f"n must be >= 0, got {n}")
-    if n > MAX_N:
-        raise ResourceLimit(n, MAX_N)
-    if n == 0:
-        return DurfeeDistribution(
-            n=0, counts={0: 1}, total=1, mode=0, mode_tied=False,
-            mean=Fraction(0), variance=Fraction(0),
-        )
-
-    counts: dict[int, int] = {}
+    _bounded(n, MAX_N)
+    counts: dict[int, int] = {} if n else {0: 1}  # n = 0: the empty partition, side 0
     coeffs = [1] + [0] * n
     d = 1
     while d * d <= n:
@@ -129,10 +123,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
     Brute-force oracle, capped at ``ENUM_MAX_N`` because p(n) grows exponentially.
     """
-    if n < 0:
-        raise NegativeArgument(f"n must be >= 0, got {n}")
-    if n > ENUM_MAX_N:
-        raise ResourceLimit(n, ENUM_MAX_N)
+    _bounded(n, ENUM_MAX_N)
 
     def _descend(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
         if remaining == 0:
@@ -148,15 +139,13 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 def durfee_mode_formula(n: int) -> float:
     """Asymptotic most-likely Durfee side: 0.5404446394667307 * sqrt(n)."""
-    if n < 0:
-        raise NegativeArgument(f"n must be >= 0, got {n}")
+    at_least("n", n, 0)
     return DURFEE_MODE_COEFF * math.sqrt(n)
 
 
 def durfee_moment_estimates(n: int) -> tuple[float, float]:
     """Numerically fitted asymptotics for the mean and variance of the side."""
-    if n < 1:
-        raise NegativeArgument(f"n must be >= 1, got {n}")
+    at_least("n", n, 1)
     root = math.sqrt(n)
     mean_est = 0.540446395 * root + 0.085691 + 0.0374788 / root
     var_est = 0.081057 * root + 0.018459 - 0.018015 / root
@@ -165,6 +154,5 @@ def durfee_moment_estimates(n: int) -> tuple[float, float]:
 
 def hardy_ramanujan(n: int) -> float:
     """First-order asymptotic for p(n): exp(pi*sqrt(2n/3)) / (4n*sqrt(3))."""
-    if n < 1:
-        raise NegativeArgument(f"n must be >= 1, got {n}")
+    at_least("n", n, 1)
     return math.exp(math.pi * math.sqrt(2.0 * n / 3.0)) / (4.0 * n * math.sqrt(3.0))

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from functools import cached_property
 from itertools import chain
 
-from .errors import NegativeCitation, ParseError, RankOutOfRange, shown
+from .errors import NegativeCitation, ParseError, RankOutOfRange, quoted, shown
 
 # far above any real count; sums, squares and interval bounds stay finite floats
 MAX_CITATIONS = 10**15
@@ -40,7 +40,7 @@ class CitationProfile(
     # no __slots__: the cached sums live in the instance __dict__, which
     # cached_property fills directly, so plain assignment can be refused
     def __setattr__(self, name, value):
-        raise AttributeError(f"CitationProfile is immutable: cannot set {name!r}")
+        raise AttributeError(f"CitationProfile is immutable: cannot set {quoted(name)}")
 
     @property
     def p(self) -> int:
@@ -71,7 +71,7 @@ def _profile(entries: list, name: str = "") -> CitationProfile:
     if not set(map(type, entries)) <= {int} or (entries and min(entries) < 0):
         for i, value in enumerate(entries):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ParseError(None, f"citation at position {i} must be an integer, got {value!r}")
+                raise ParseError(None, f"citation at position {i} must be an integer, got {quoted(value)}")
             if value < 0:
                 raise NegativeCitation(i, value)
     entries.sort(reverse=True)
@@ -98,9 +98,8 @@ def _count(line: int, text: str) -> int:
         try:
             return int(text)
         except ValueError:  # int() refuses a digit string past its limit
-            if text.isdigit():
-                raise ParseError(line, _TOO_LARGE) from None
-    raise ParseError(line, f"expected a decimal integer, got {text!r}")
+            raise ParseError(line, _TOO_LARGE) from None
+    raise ParseError(line, f"expected a decimal integer, got {quoted(text)}")
 
 
 def _line_values(lines: list[str]) -> list[int]:
@@ -182,7 +181,7 @@ def load_profile(stream: io.TextIOBase, format: str) -> CitationProfile:
     """
     loaders = {"lines": _load_lines, "csv": _load_csv, "json": _load_json}
     if format not in loaders:
-        raise ValueError(f"unknown format {format!r}; expected one of {sorted(loaders)}")
+        raise ValueError(f"unknown format {quoted(format)}; expected one of {sorted(loaders)}")
     # only the first line is read ahead; csv streams the rest, the others read it whole
     first = stream.readline().removeprefix("\ufeff")
     return loaders[format](first, stream)

@@ -23,7 +23,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import islice
 
-from .errors import EmptyCore, IndexUnderflow, InsufficientTail, RankOutOfRange
+from .errors import EmptyCore, IndexUnderflow, InsufficientTail, RankOutOfRange, shown
 from .indices import suffix_h
 from .profile import CitationProfile
 
@@ -82,7 +82,7 @@ class DefectAnalysis(
 def shifted_h(profile: CitationProfile, k: int) -> int:
     """h-index of the suffix cit_{k+1}..cit_p, computed directly."""
     if k < 0 or k > profile.p - 1:
-        raise RankOutOfRange(f"shift k={k} outside 0..{profile.p - 1}")
+        raise RankOutOfRange(f"shift {shown('k', k)} outside 0..{profile.p - 1}")
     return suffix_h(profile.citations, k, profile.complete)
 
 
@@ -137,7 +137,7 @@ def _walk(profile: CitationProfile) -> Iterator[ShiftedRow]:
 def shifted_ladder(profile: CitationProfile, k_max: int) -> list[ShiftedRow]:
     """Rows 0..k_max via the recurrences; each equals direct recomputation."""
     if k_max < 0 or k_max > profile.p - 1:
-        raise RankOutOfRange(f"k_max={k_max} outside 0..{profile.p - 1}")
+        raise RankOutOfRange(f"{shown('k_max', k_max)} outside 0..{profile.p - 1}")
     return list(islice(_walk(profile), k_max + 1))
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from citest import (
     CitationProfile,
     DegenerateCore,
+    EmptyCore,
     GroundTruthUnavailable,
     InsufficientTail,
     WrongCase,
@@ -391,6 +392,23 @@ def test_error_metrics_requires_full_profile(fixture_profile):
     report = estimate_report(p)
     with pytest.raises(GroundTruthUnavailable):
         error_metrics(truncate_head(p, 50), report)  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize("values", [[], [0, 0, 0]], ids=["empty", "uncited"])
+def test_error_metrics_uncited_profile_has_no_core(fixture_profile, values):
+    # no report exists for an uncited profile; a mismatched one still fails on h = 0
+    uncited = normalize(values)
+    with pytest.raises(EmptyCore):
+        estimate_report(uncited)
+    with pytest.raises(EmptyCore):
+        error_metrics(uncited, estimate_report(fixture_profile("garfield")))
+
+
+def test_estimate_report_unknown_case_tag():
+    profile = normalize([25, 21, 17, 15, 10, 10, 7, 3, 2, 1])
+    defect = h_defect(profile)._replace(case_tag="case9")
+    with pytest.raises(WrongCase, match="unrecognized case tag 'case9'"):
+        estimate_report(profile, defect)
 
 
 def test_yong_lookup():

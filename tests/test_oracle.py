@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citest import (
+    CASE_TAGS,
     DegenerateCore,
     InsufficientTail,
     estimate_report,
@@ -226,6 +227,7 @@ def test_ladder_and_defect_match_reference(values):
     defect = h_defect(profile)
     rows, d, tag = reference_defect(profile.citations)
     assert (defect.d, defect.case_tag) == (d, tag)
+    assert defect.case_tag in CASE_TAGS
     got = [(r.k, r.h_k, r.n_h_k, r.n_cit_k, r.delta_k, r.e_k, r.q_k) for r in defect.rows]
     assert got == rows
 

@@ -13,6 +13,7 @@ from citest import (
     normalize,
     truncate_head,
 )
+from citest.errors import quoted
 from citest.profile import MAX_CITATIONS
 
 from conftest import profiles
@@ -266,7 +267,7 @@ def _reference_normalize(raw):
     entries = []
     for i, value in enumerate(raw):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(None, f"citation at position {i} must be an integer, got {value!r}")
+            raise ParseError(None, f"citation at position {i} must be an integer, got {quoted(value)}")
         if value < 0:
             raise NegativeCitation(i, value)
         entries.append(value)
@@ -285,12 +286,10 @@ def _reference_load(lines, first_line):
             continue
         digits = text[1:] if text.startswith("-") else text
         if not digits or any(c not in "0123456789" for c in digits):
-            raise ParseError(lineno, f"expected a decimal integer, got {text!r}")
+            raise ParseError(lineno, f"expected a decimal integer, got {quoted(text)}")
         try:
             values.append(int(text))
-        except ValueError:  # past int()'s digit limit
-            if digits != text:
-                raise ParseError(lineno, f"expected a decimal integer, got {text!r}") from None
+        except ValueError:  # past int()'s digit limit, for either sign
             raise ParseError(lineno, "citation count too large") from None
     return _reference_normalize(values)
 

@@ -1,5 +1,7 @@
-"""Result records stay immutable, and importing the CLI stays light."""
+"""Result records stay immutable, importing the CLI stays light, and every
+import in the package is used."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -71,3 +73,21 @@ def test_cli_import_leaves_heavy_modules_out():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.split() == []
+
+
+def test_every_imported_name_is_used():
+    # no linter runs on the package; this is its unused-import check
+    unused = []
+    for path in sorted((SRC / "citest").glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

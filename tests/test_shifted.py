@@ -126,6 +126,22 @@ def test_excess_step_signs(values):
             assert b.e_k > a.e_k - 1e-12
 
 
+def test_ladder_out_of_range():
+    p = normalize([9, 7, 5])
+    with pytest.raises(RankOutOfRange, match="k_max=3 outside 0..2"):
+        shifted_ladder(p, p.p)
+    with pytest.raises(RankOutOfRange, match="k_max=-1 outside 0..2"):
+        shifted_ladder(p, -1)
+
+
+def test_check_transition_needs_delta():
+    # a 3-rank prefix (9, 7, 3) has h = 3 but cannot tell whether rank 4 is 3
+    (row,) = shifted_ladder(truncate_head(normalize([9, 7, 3, 3, 1]), 3), 0)
+    assert row.delta_k is None
+    with pytest.raises(ValueError, match="delta_k"):
+        check_transition(row, 9)
+
+
 def test_check_transition_garfield(fixture_profile):
     p = fixture_profile("garfield")
     rows = shifted_ladder(p, 26)
