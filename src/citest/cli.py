@@ -369,6 +369,23 @@ def _integer(low: int | None = None, high: int | None = None):
     return parse
 
 
+def _choices(*names: str) -> dict:
+    """``choices=names`` for argparse, which would echo a bad value whole.
+
+    A bad value past 20 characters is named by its size; a shorter one keeps
+    argparse's own message.
+    """
+
+    def check(text: str) -> str:
+        if text not in names and quoted(text) != repr(text):
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {quoted(text, 'argument')} (choose from {', '.join(map(repr, names))})"
+            )
+        return text
+
+    return {"choices": names, "type": check}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="citest",
@@ -383,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx = sub.add_parser("indices", parents=[common],
                            help="core index family for one profile")
     p_idx.add_argument("file")
-    p_idx.add_argument("--format", choices=["json", "csv", "lines"])
+    p_idx.add_argument("--format", **_choices("json", "csv", "lines"))
     p_idx.add_argument("--json", action="store_true")
     p_idx.add_argument("--csv", action="store_true")
     p_idx.set_defaults(func=cmd_indices)
@@ -391,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", parents=[common],
                            help="total-citation estimate from the h-core")
     p_est.add_argument("file")
-    p_est.add_argument("--format", choices=["json", "csv", "lines"])
+    p_est.add_argument("--format", **_choices("json", "csv", "lines"))
     p_est.add_argument("--blind", type=_integer(), default=None, metavar="K",
                        help="use only the top K ranks")
     p_est.add_argument("--ladder", action="store_true",
@@ -401,14 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_part = sub.add_parser("partition", parents=[common],
                             help="exact partition computations")
-    p_part.add_argument("sub", choices=["count", "durfee-dist", "mode"])
+    p_part.add_argument("sub", **_choices("count", "durfee-dist", "mode"))
     p_part.add_argument("n", type=_integer())
     p_part.add_argument("--out", default=None)
     p_part.set_defaults(func=cmd_partition)
 
     p_tab = sub.add_parser("table", parents=[common],
                            help="reproduce a published table from fixtures")
-    p_tab.add_argument("table", choices=["1", "2", "5", "8"])
+    p_tab.add_argument("table", **_choices("1", "2", "5", "8"))
     p_tab.add_argument("--fixtures", default=None, metavar="DIR")
     p_tab.add_argument("--diff", action="store_true")
     p_tab.set_defaults(func=cmd_table)

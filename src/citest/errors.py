@@ -104,7 +104,9 @@ def _size(value) -> str:
     """``''`` for a value a message may echo, else ``31-digit`` or ``5000-character``.
 
     Echoed are ints up to 20 digits and other values up to 20 characters: a
-    string's own length, or the length of its repr for anything else.
+    string's own length, or the length of its repr for anything else.  A
+    value without a repr (a ``Fraction`` past ``int()``'s digit limit) is
+    named by its type: ``Fraction``.
     """
     if isinstance(value, int):
         if abs(value) < 10**20:
@@ -117,5 +119,8 @@ def _size(value) -> str:
         while n >= 10**k:
             k += 1
         return f"{k}-digit"
-    length = len(value if isinstance(value, str) else repr(value))
+    try:
+        length = len(value if isinstance(value, str) else repr(value))
+    except ValueError:  # repr() of a number past int()'s digit limit
+        return type(value).__name__
     return f"{length}-character" if length > 20 else ""

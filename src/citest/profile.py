@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, itemgetter
 
 from .errors import NegativeCitation, ParseError, RankOutOfRange, quoted, shown
 
@@ -84,12 +85,12 @@ _TOO_LARGE = "citation count too large"
 
 
 def _is_digits(text: str) -> bool:
-    # the grammar of a count; the CSV loop spells it out inline, per cell
+    # the grammar of a count
     return text.isdigit() and text.isascii()
 
 
 def _count(line: int, text: str) -> int:
-    """Read one stripped value that the fast path turned down, or raise.
+    """Read one stripped, non-empty value, or raise.
 
     A value is ASCII digits; a leading ``-`` is read too, so that normalizing
     names the negative count with its position.
@@ -102,25 +103,82 @@ def _count(line: int, text: str) -> int:
     raise ParseError(line, f"expected a decimal integer, got {quoted(text)}")
 
 
-def _line_values(lines: list[str]) -> list[int]:
-    # one check over the whole text: a line with a sign, a space or a
-    # non-ASCII digit fails it, and so does a line holding two values.  The
-    # joined copy lives only for the call, so it is freed before the ints exist.
-    if _is_digits("".join(lines)):
-        try:
-            return list(map(int, filter(None, lines)))
-        except ValueError:  # int()'s digit limit: the scan below words it
-            pass
-    return [_count(lineno, text) for lineno, line in enumerate(lines, start=1)
-            if (text := line.strip())]
+def _tallied(texts: Counter, name: str = "") -> CitationProfile | None:
+    """The profile of these value texts and their counts, or ``None`` if in doubt.
+
+    A profile is a partition of N_cit, so it has at most sqrt(2 N_cit) + 1
+    distinct counts: only those are stripped, checked, read and sorted.
+    ``None`` (a bad text, a count past ``int()``'s limit or ``MAX_CITATIONS``)
+    sends the input to the line-by-line scan, which words the error.
+    """
+    counts: dict[int, int] = {}
+    for text, times in texts.items():
+        text = text.strip()
+        if text:
+            if not _is_digits(text):
+                return None
+            try:
+                value = int(text)
+            except ValueError:  # int()'s digit limit
+                return None
+            counts[value] = counts.get(value, 0) + times  # '007' and '7' are one value
+    order = sorted(counts, reverse=True)
+    if order and order[0] > MAX_CITATIONS:
+        return None
+    expanded = chain.from_iterable(map(repeat, order, map(counts.__getitem__, order)))
+    return CitationProfile(citations=tuple(expanded), name=name)
 
 
 def _load_lines(first: str, rest: io.TextIOBase) -> CitationProfile:
-    # the line list is dropped before the profile is built
-    return _profile(_line_values((first + rest.read()).split("\n")))
+    lines = (first + rest.read()).split("\n")
+    return _tallied(Counter(lines)) or _profile(
+        [_count(lineno, text) for lineno, line in enumerate(lines, start=1) if (text := line.strip())]
+    )
 
 
 def _load_csv(first: str, rest: io.TextIOBase) -> CitationProfile:
+    # The tally reads the text twice, so it takes only a stream that can tell
+    # its place; anything it is unsure of goes back there for the per-row scan.
+    try:
+        start = rest.tell() if rest.seekable() else None
+    except OSError:  # a text file iterated with next() cannot tell
+        start = None
+    if start is not None:
+        try:
+            profile = _csv_tally(first, rest)
+        except (csv.Error, UnicodeDecodeError):  # the scan words these at their line
+            profile = None
+        if profile:
+            return profile
+        rest.seek(start)
+    return _csv_scan(first, rest)
+
+
+def _csv_tally(first: str, rest: io.TextIOBase) -> CitationProfile | None:
+    # ``None`` leaves the input to the per-row scan
+    head = first
+    while head.lstrip().startswith("#"):
+        head = rest.readline()
+    body = rest.tell()
+    # the scan blanks a '#' line below the header too, even inside a quoted
+    # field; such input is left to it
+    if "#" in rest.read():
+        return None
+    rest.seek(body)
+    reader = csv.reader(chain((head,), rest))
+    rows = filter(None, reader)
+    columns = _columns(next(rows, []))
+    if "citations" not in columns:
+        return None
+    at = columns["citations"]
+    meta = next(rows, [])
+    # padding reads a short row or a blank line as an empty cell
+    cells = map(add, chain((meta,), reader), repeat([""] * (at + 1)))
+    texts = Counter(map(itemgetter(at), cells))
+    return _tallied(texts, _name(columns, meta))
+
+
+def _csv_scan(first: str, rest: io.TextIOBase) -> CitationProfile:
     # Comment lines (leading '#') may precede the header; fixture files use
     # them for provenance notes.  They reach the reader as blank lines, so
     # ``line_num`` stays the file line.
@@ -134,8 +192,7 @@ def _load_csv(first: str, rest: io.TextIOBase) -> CitationProfile:
             raise ParseError(reader.line_num, str(exc)) from None
 
     rows = nonempty_rows()
-    # a repeated column name resolves to its last occurrence
-    columns = {column: i for i, column in enumerate(next(rows, []))}
+    columns = _columns(next(rows, []))
     if "citations" not in columns:
         raise ParseError(reader.line_num or 1, "CSV header must contain a 'citations' column")
     at = columns["citations"]
@@ -145,15 +202,19 @@ def _load_csv(first: str, rest: io.TextIOBase) -> CitationProfile:
     for row in rows:
         meta = meta or row
         text = row[at].strip() if at < len(row) else ""
-        if text.isdigit() and text.isascii():
-            try:
-                values.append(int(text))
-            except ValueError:  # int()'s digit limit
-                raise ParseError(reader.line_num, _TOO_LARGE) from None
-        elif text:  # ``line_num`` still names this row
+        if text:  # ``line_num`` still names this row
             values.append(_count(reader.line_num, text))
+    return _profile(values, _name(columns, meta))
+
+
+def _columns(header: list[str]) -> dict[str, int]:
+    # a repeated column name resolves to its last occurrence
+    return {column: i for i, column in enumerate(header)}
+
+
+def _name(columns: dict[str, int], meta: list[str]) -> str:
     i = columns.get("name")
-    return _profile(values, meta[i].strip() if i is not None and i < len(meta) else "")
+    return meta[i].strip() if i is not None and i < len(meta) else ""
 
 
 def _load_json(first: str, rest: io.TextIOBase) -> CitationProfile:

@@ -230,6 +230,26 @@ def test_long_integer_argument_is_named_by_its_length(capsys, argv, name, value,
     assert len(err) < 500
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["partition", "{}", "5"], "sub"),
+    (["table", "{}"], "table"),
+    (["indices", f"{FIXTURES}/garfield.csv", "--format", "{}"], "--format"),
+], ids=["sub", "table", "format"])
+@pytest.mark.parametrize("value, shown", [
+    ("q" * 100000, "a 100000-character argument"),
+    ("q" * 20, repr("q" * 20)),  # argparse's own message
+], ids=["100000_chars", "20_chars"])
+def test_bad_choice_is_named_by_its_length(capsys, argv, name, value, shown):
+    with pytest.raises(SystemExit) as exc:
+        run(*[arg.format(value) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    # the list of choices is argparse's wording, which varies across versions
+    assert f": error: argument {name}: invalid choice: {shown} (choose from " in err
+    assert err.endswith(")\n")
+    assert len(err) < 500
+
+
 def test_negative_n_keeps_its_message(capsys):
     assert run("partition", "count", "-2") == (2, "")
     assert capsys.readouterr().err == "citest: bad input: n must be >= 0, got -2\n"

@@ -8,11 +8,13 @@ and every CLI input goes through ``citest.errors``.
 import io
 import json
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 from citest import (
     NegativeArgument,
+    ParseError,
     RankOutOfRange,
     ResourceLimit,
     brown_interval,
@@ -49,8 +51,9 @@ BIG = int("1" * 4000)  # 4000 digits, inside int()'s digit limit
     (10**20, "a 21-digit value"),
     (-BIG, "a 4000-digit value"),
     (10**5000, "a 5001-digit value"),  # past int()'s limit: never turned into text
+    (Fraction(10**5000, 3), "a Fraction value"),  # its repr() raises
 ], ids=["str", "int", "float", "str_20", "str_21", "str_100000", "list", "int_20_digits",
-        "int_21_digits", "int_4000_digits", "int_5001_digits"])
+        "int_21_digits", "int_4000_digits", "int_5001_digits", "fraction_5001_digits"])
 def test_quoted(value, text):
     assert quoted(value) == text
 
@@ -68,6 +71,18 @@ def test_at_least():
         at_least("n", -2, 0)
     with pytest.raises(NegativeArgument, match=r"^d must be >= 1, got a 4000-digit value$"):
         at_least("d", -BIG, 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: normalize([Fraction(10**5000, 3)]), ParseError,
+     "citation at position 0 must be an integer, got a Fraction value"),
+    (lambda: h_na(Fraction(-10**5000, 3)), NegativeArgument,
+     "n_cit must be >= 0, got a Fraction value"),
+], ids=["normalize", "h_na"])
+def test_fraction_past_int_limit_is_named_by_its_type(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 PROFILE = normalize([9, 7, 5, 2, 1])

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citest.profile
 from citest import (
     NegativeCitation,
     ParseError,
@@ -357,3 +359,74 @@ def test_normalize_matches_per_entry_validation(raw):
     before = list(raw)
     assert _outcome(normalize, raw) == _outcome(_reference_normalize, raw)
     assert raw == before  # the caller's list is copied, not sorted in place
+
+
+# ------------------------------------------------------------ tally = per-row scan
+# A seekable CSV stream is read as a tally of its distinct counts; a stream
+# that cannot seek goes straight to the per-row scan, which is the reference.
+
+class _Unseekable(io.StringIO):
+    def seekable(self):
+        return False
+
+
+def _loaded(stream, fmt):
+    try:
+        profile = load_profile(stream, fmt)
+    except (ParseError, NegativeCitation) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return profile.citations, profile.name
+
+
+CELL = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["", " 5 ", "007", "7", "\t7"]))
+ODD_CELL = st.one_of(CLEAN, ODD, st.sampled_from([
+    "C# dev", '"Ann\nLee"', '"3\n4"', '"# x\n5"', "1" * (csv.field_size_limit() + 1),
+]))
+COMMENT = st.sampled_from(["# provenance", "  # indented", "#"])
+HEADER = st.sampled_from(["citations", "name,citations", "name,source,citations",
+                          "citations,x,citations", "name,citations,citations", "counts"])
+
+
+@st.composite
+def _csv_text(draw):
+    """Comment and blank lines, a header, rows of any width, and a few odd lines."""
+    lines = draw(st.lists(COMMENT | st.just(""), max_size=3)) + [draw(HEADER)]
+    top = len(lines)
+    lines += draw(st.lists(st.lists(CELL, max_size=4).map(",".join), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        odd = draw(COMMENT | st.lists(ODD_CELL, min_size=1, max_size=3).map(",".join))
+        lines.insert(draw(st.integers(top, len(lines))), odd)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_text())
+def test_load_csv_tally_matches_per_row_scan(text):
+    assert _loaded(io.StringIO(text), "csv") == _loaded(_Unseekable(text), "csv")
+
+
+@pytest.mark.parametrize("text, citations", [
+    ("007\n7\n", (7, 7)),
+    (" 5 \n\t7\r\n  \n3\t\n", (7, 5, 3)),
+], ids=["leading_zeros", "padded"])
+def test_load_lines_tally_merges_equal_values(text, citations):
+    lines = text.split("\n")
+    assert _loaded(io.StringIO(text), "lines") == (citations, "")
+    assert _reference_load(lines, 1) == citations
+
+
+def test_load_csv_from_a_text_file_read_with_next(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("skip\ncitations\n5\n3\n", encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        next(fh)  # the file can no longer tell() its place
+        assert load_profile(fh, "csv").citations == (5, 3)
+
+
+def test_load_csv_tally_reads_comments_above_the_header(monkeypatch):
+    def scan(first, rest):
+        raise AssertionError("the per-row scan ran")
+
+    monkeypatch.setattr(citest.profile, "_csv_scan", scan)
+    text = "# provenance\n  # second note\nname,citations\nX,5\n,3\n\n,007\n"
+    assert _loaded(io.StringIO(text), "csv") == ((7, 5, 3), "X")
