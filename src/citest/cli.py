@@ -67,8 +67,15 @@ def _fmt(value, precision: int) -> str:
 def _load(path: str, fmt: str | None):
     suffixes = {".json": "json", ".csv": "csv"}
     fmt = fmt or suffixes.get(os.path.splitext(path)[1].lower(), "lines")
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_profile(fh, fmt)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_profile(fh, fmt)
+    except UnicodeDecodeError:
+        # the text layer names a position inside its 8192-byte decode chunk;
+        # decoding the whole file names the offset in the file
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8")
+        raise
 
 
 def _emit_table(rows, precision, out) -> None:
@@ -122,7 +129,7 @@ def cmd_indices(args) -> int:
         "h_na_over_h": na / ci.h,
         "e_over_h": ci.e_index / ci.h,
         "q_over_e": ci.q / ci.e_index,
-        "i": (variants.i.lo, variants.i.hi),
+        "i": variants.i,
         "i_mean": variants.i_mean,
     }
     style = "json" if args.json else ("csv" if args.csv else "plain")
@@ -151,8 +158,8 @@ def cmd_estimate(args) -> int:
         "h_d": defect.row_d.h_k,
         "e_d": defect.row_d.e_k,
         "q_d": defect.row_d.q_k,
-        "j_d": (report.j_d.lo, report.j_d.hi),
-        "j_d1": (report.j_d1.lo, report.j_d1.hi),
+        "j_d": report.j_d,
+        "j_d1": report.j_d1,
         "a": report.a_est,
         "b_prime": report.b_prime,
         "b_dprime": report.b_dprime,
@@ -206,7 +213,7 @@ def cmd_partition(args) -> int:
 
 # ------------------------------------------------------------- table
 
-def _load_fixture_profiles(directory: str, names: list[str]):
+def _load_fixture_profiles(directory: str, names):
     paths = {n: os.path.join(directory, refdata.FIXTURE_FILES[n]) for n in names}
     missing = [n for n in names if not os.path.exists(paths[n])]
     if missing:
@@ -226,15 +233,15 @@ def _table1_row(name, profile):
         "h_na": h_na(profile.n_cit),
         "q": ci.q,
         "e": ci.e_index,
-        "i": (v.i.lo, v.i.hi),
+        "i": v.i,
         "i_mean": v.i_mean,
-        "iq": (v.iq.lo, v.iq.hi),
+        "iq": v.iq,
         "iq_mean": v.iq_mean,
         "r": ci.r_floor,
-        "ir": (v.ir.lo, v.ir.hi),
+        "ir": v.ir,
         "ir_mean": v.ir_mean,
         "q_prime": ci.q_prime,
-        "iq_prime": (v.iq_prime.lo, v.iq_prime.hi),
+        "iq_prime": v.iq_prime,
         "iq_prime_mean": v.iq_prime_mean,
     }
 
@@ -253,12 +260,12 @@ def _table2_row(name, profile):
         "n_h_d": defect.row_d.n_h_k,
         "e_d": defect.row_d.e_k,
         "q_d": defect.row_d.q_k,
-        "j_d": (report.j_d.lo, report.j_d.hi),
+        "j_d": report.j_d,
         "j_d_mean": report.j_d.midpoint,
         "h_d1": defect.row_d1.h_k,
         "e_d1": defect.row_d1.e_k,
         "q_d1": defect.row_d1.q_k,
-        "j_d1": (report.j_d1.lo, report.j_d1.hi),
+        "j_d1": report.j_d1,
         "j_d1_mean": report.j_d1.midpoint,
         "a": report.a_est,
         "b_prime": report.b_prime,
@@ -271,18 +278,11 @@ def _table2_row(name, profile):
 
 
 def _table8_rows():
-    rows = []
-    for name, n_cit, printed, category, note in refdata.TABLE8:
-        band = brown_interval(n_cit)
-        rows.append({
-            "researcher": name,
-            "n_cit": n_cit,
-            "band": (band.lo, band.hi),
-            "published": printed,
-            "category": category,
-            "note": note,
-        })
-    return rows
+    return [
+        {"researcher": name, "n_cit": n_cit, "band": brown_interval(n_cit),
+         "published": printed, "category": category, "note": note}
+        for name, n_cit, printed, category, note in refdata.TABLE8
+    ]
 
 
 def _diff_cell(got, expected):
@@ -296,11 +296,7 @@ def _diff_cell(got, expected):
 
 def _diff_report(table_id, rows, out) -> bool:
     """Write the cell-by-cell comparison; return whether every cell matched."""
-    expected_map = {
-        "1": refdata.TABLE1_EXPECTED,
-        "2": refdata.TABLE2_EXPECTED,
-        "5": refdata.TABLE5_EXPECTED,
-    }.get(table_id, {})
+    expected_map = refdata.PUBLISHED_CELLS.get(table_id, {})
     out.write("\n# diff against published values\n")
     writer = csv.writer(out)
     writer.writerow(["researcher", "cell", "got", "published", "delta", "ok"])
@@ -328,16 +324,12 @@ def cmd_table(args) -> int:
     if args.table == "8":
         rows = _table8_rows()
     else:
-        names = {
-            "1": refdata.TABLE1_RESEARCHERS,
-            "2": refdata.TABLE1_RESEARCHERS,
-            "5": refdata.TABLE5_RESEARCHERS,
-        }[args.table]
         if not args.fixtures:
             raise MissingFixtures("fixture directory required (--fixtures DIR)")
-        profiles = _load_fixture_profiles(args.fixtures, names)
+        # a table's rows are the researchers it has published cells for
+        profiles = _load_fixture_profiles(args.fixtures, refdata.PUBLISHED_CELLS[args.table])
         builder = _table1_row if args.table == "1" else _table2_row
-        rows = [builder(n, profiles[n]) for n in names]
+        rows = [builder(name, profile) for name, profile in profiles.items()]
     _emit_table(rows, args.precision, sys.stdout)
     if args.diff and not _diff_report(args.table, rows, sys.stdout):
         return EXIT_DIFF
@@ -346,20 +338,38 @@ def cmd_table(args) -> int:
 
 # ------------------------------------------------------------- driver
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, whose messages name a raw argument past 20 characters by its
+    size (``a 100000-character argument``) instead of echoing it; the
+    subparsers that ``add_subparsers`` makes are of this class too."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.raw_args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(self.raw_args, namespace)
+
+    def error(self, message):
+        # an option may carry its value after '=': --format=VALUE
+        texts = {text for arg in self.raw_args for text in (arg, arg.partition("=")[2])}
+        for text in sorted(texts, key=len, reverse=True):
+            if quoted(text) != repr(text):
+                size = quoted(text, "argument")
+                message = message.replace(repr(text), size).replace(text, size)
+        super().error(message)
+
+
 def _integer(low: int | None = None, high: int | None = None):
     """An argparse type with the integer grammar of input files.
 
     ASCII digits after an optional '-', within ``low``..``high`` when given.
-    An argument past 20 characters is named by its size, never echoed.
     """
 
     def parse(text: str) -> int:
         if not (text.removeprefix("-").isdigit() and text.isascii()):
-            raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text, 'argument')}")
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         try:
             value = int(text)
         except ValueError:  # int() refuses a digit string past its limit
-            raise argparse.ArgumentTypeError(f"{quoted(text, 'argument')} has too many digits") from None
+            raise argparse.ArgumentTypeError(f"{text!r} has too many digits") from None
         if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {quoted(value, 'argument')}")
         if high is not None and value > high:
@@ -369,25 +379,8 @@ def _integer(low: int | None = None, high: int | None = None):
     return parse
 
 
-def _choices(*names: str) -> dict:
-    """``choices=names`` for argparse, which would echo a bad value whole.
-
-    A bad value past 20 characters is named by its size; a shorter one keeps
-    argparse's own message.
-    """
-
-    def check(text: str) -> str:
-        if text not in names and quoted(text) != repr(text):
-            raise argparse.ArgumentTypeError(
-                f"invalid choice: {quoted(text, 'argument')} (choose from {', '.join(map(repr, names))})"
-            )
-        return text
-
-    return {"choices": names, "type": check}
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="citest",
         description="citation indices, total-citation estimators, partition statistics",
     )
@@ -395,20 +388,19 @@ def build_parser() -> argparse.ArgumentParser:
     # 17 significant digits identify every double
     common.add_argument("--precision", type=_integer(0, 17), default=6,
                         help="significant digits for real-valued output")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("file")
+    source.add_argument("--format", choices=("json", "csv", "lines"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_idx = sub.add_parser("indices", parents=[common],
+    p_idx = sub.add_parser("indices", parents=[common, source],
                            help="core index family for one profile")
-    p_idx.add_argument("file")
-    p_idx.add_argument("--format", **_choices("json", "csv", "lines"))
     p_idx.add_argument("--json", action="store_true")
     p_idx.add_argument("--csv", action="store_true")
     p_idx.set_defaults(func=cmd_indices)
 
-    p_est = sub.add_parser("estimate", parents=[common],
+    p_est = sub.add_parser("estimate", parents=[common, source],
                            help="total-citation estimate from the h-core")
-    p_est.add_argument("file")
-    p_est.add_argument("--format", **_choices("json", "csv", "lines"))
     p_est.add_argument("--blind", type=_integer(), default=None, metavar="K",
                        help="use only the top K ranks")
     p_est.add_argument("--ladder", action="store_true",
@@ -418,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_part = sub.add_parser("partition", parents=[common],
                             help="exact partition computations")
-    p_part.add_argument("sub", **_choices("count", "durfee-dist", "mode"))
+    p_part.add_argument("sub", choices=("count", "durfee-dist", "mode"))
     p_part.add_argument("n", type=_integer())
     p_part.add_argument("--out", default=None)
     p_part.set_defaults(func=cmd_partition)
 
     p_tab = sub.add_parser("table", parents=[common],
                            help="reproduce a published table from fixtures")
-    p_tab.add_argument("table", **_choices("1", "2", "5", "8"))
+    p_tab.add_argument("table", choices=("1", "2", "5", "8"))
     p_tab.add_argument("--fixtures", default=None, metavar="DIR")
     p_tab.add_argument("--diff", action="store_true")
     p_tab.set_defaults(func=cmd_table)

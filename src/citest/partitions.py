@@ -18,6 +18,7 @@ from itertools import accumulate
 
 from .constants import DURFEE_MODE_COEFF
 from .errors import ResourceLimit, at_least
+from .indices import suffix_h
 
 MAX_N = 5000  # ceiling on n for both exact algorithms
 ENUM_MAX_N = 45  # brute-force enumeration yields all p(n) partitions
@@ -47,15 +48,9 @@ class Partition(namedtuple("Partition", "parts")):
 
 
 def durfee_size(part: Partition | tuple[int, ...] | list[int]) -> int:
-    """Side of the largest square in the diagram: max i with part_i >= i."""
-    parts = part.parts if isinstance(part, Partition) else tuple(part)
-    d = 0
-    for i, value in enumerate(parts, start=1):
-        if value >= i:
-            d = i
-        else:
-            break
-    return d
+    """Side of the largest square in the diagram: max i with part_i >= i,
+    which is the h-index of the parts read as a citation profile."""
+    return suffix_h(part.parts if isinstance(part, Partition) else tuple(part), 0)
 
 
 def partition_count(n: int) -> int:

@@ -1,6 +1,7 @@
 """Published target values that the bundled fixtures reproduce.
 
-Used by the ``table`` command's diff reports and by the golden tests.  Each
+Used by the ``table`` command, whose rows are the researchers a table has
+published cells for, by its diff reports and by the golden tests.  Each
 expected cell is a ``(value, tolerance)`` pair; cells that the source tables
 print inconsistently with their own inputs are omitted here and listed in
 ``KNOWN_DISCREPANCIES`` instead, so a diff run accounts for every cell it
@@ -14,44 +15,6 @@ match neither reading and are excluded from numeric checks.
 """
 
 from __future__ import annotations
-
-# fixture file names by researcher key (the ``table`` command looks these up
-# inside the --fixtures directory)
-FIXTURE_FILES = {
-    "leydesdorff": "leydesdorff.csv",
-    "glanzel": "glanzel.csv",
-    "moed": "moed.csv",
-    "vanraan": "vanraan.csv",
-    "rousseau": "rousseau.csv",
-    "schubert": "schubert.csv",
-    "martin": "martin.csv",
-    "narin": "narin.csv",
-    "garfield": "garfield.csv",
-    "braun": "braun.csv",
-    "small": "small.csv",
-    "egghe": "egghe.csv",
-    "ingwersen": "ingwersen.csv",
-    "white": "white.csv",
-    "einstein": "einstein.csv",
-    "kim": "kim.csv",
-    "kessler": "kessler.csv",
-    "meyer": "meyer.csv",
-    "kalaj": "kalaj.csv",
-    "monkova": "monkova.csv",
-    "mutafchiev": "mutafchiev.csv",
-    "spalevic": "spalevic.csv",
-}
-
-TABLE1_RESEARCHERS = [
-    "leydesdorff", "glanzel", "moed", "vanraan", "rousseau", "schubert",
-    "martin", "narin", "garfield", "braun", "small", "egghe", "ingwersen",
-    "white",
-]
-
-TABLE5_RESEARCHERS = [
-    "einstein", "kim", "kessler", "meyer", "kalaj", "monkova",
-    "mutafchiev", "spalevic",
-]
 
 # ------------------------------------------------------------- table 1
 # (n_cit, h exact; h_na, e +-0.01; q +-0.005; i_mean +-1.5)
@@ -146,6 +109,13 @@ TABLE5_EXPECTED = {
     "mutafchiev": dict(d=0, h_d=10, e_d=(8.485, 0.001), b=(275.4, 1.0)),
     "spalevic": dict(d=0, h_d=29, e_d=(18.921, 0.001), b=(3195.9, 1.0)),
 }
+
+# Published cells by table id; a table's rows are the researchers listed here.
+PUBLISHED_CELLS = {"1": TABLE1_EXPECTED, "2": TABLE2_EXPECTED, "5": TABLE5_EXPECTED}
+
+# fixture file names by researcher key (the ``table`` command looks these up
+# inside the --fixtures directory)
+FIXTURE_FILES = {name: f"{name}.csv" for cells in PUBLISHED_CELLS.values() for name in cells}
 
 # Published cells that cannot be reproduced from their own row's inputs.
 # Each entry: (table, researcher, cell, published value, why it is skipped).

@@ -118,6 +118,25 @@ def test_indices_not_utf8_exits_2(tmp_path, capsys):
     assert err.startswith("citest: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("suffix, body", [
+    (".csv", b"name,citations\n" + b"n,7\n" * 20000),
+    (".txt", b"7\n" * 40000),
+    (".json", b'{"citations": [' + b"7, " * 30000 + b"7]}"),
+], ids=["csv", "lines", "json"])
+@pytest.mark.parametrize("offset", [5, 20000, 70000])
+def test_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, suffix, body, offset):
+    # the text layer decodes in 8192-byte chunks; the message counts from the file's start
+    data = bytearray(body)
+    data[offset] = 0xFF
+    path = tmp_path / f"bad{suffix}"
+    path.write_bytes(data)
+    assert run("indices", str(path)) == (2, "")
+    assert capsys.readouterr().err == (
+        f"citest: bad input: 'utf-8' codec can't decode byte 0xff in position {offset}: "
+        "invalid start byte\n"
+    )
+
+
 def test_estimate_directory_input_exits_2(tmp_path, capsys):
     code, _ = run("estimate", str(tmp_path))
     assert code == 2
@@ -231,10 +250,11 @@ def test_long_integer_argument_is_named_by_its_length(capsys, argv, name, value,
 
 
 @pytest.mark.parametrize("argv, name", [
+    (["{}"], "command"),
     (["partition", "{}", "5"], "sub"),
     (["table", "{}"], "table"),
     (["indices", f"{FIXTURES}/garfield.csv", "--format", "{}"], "--format"),
-], ids=["sub", "table", "format"])
+], ids=["command", "sub", "table", "format"])
 @pytest.mark.parametrize("value, shown", [
     ("q" * 100000, "a 100000-character argument"),
     ("q" * 20, repr("q" * 20)),  # argparse's own message
@@ -247,6 +267,25 @@ def test_bad_choice_is_named_by_its_length(capsys, argv, name, value, shown):
     # the list of choices is argparse's wording, which varies across versions
     assert f": error: argument {name}: invalid choice: {shown} (choose from " in err
     assert err.endswith(")\n")
+    assert len(err) < 500
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "8", "{}"], "unrecognized arguments: a 100000-character argument"),
+    (["indices", f"{FIXTURES}/garfield.csv", "--format={}"],
+     "argument --format: invalid choice: a 100000-character argument (choose from "),
+    (["table", "8", "--precision={}"],
+     "argument --precision: invalid int value: a 100000-character argument"),
+    # the whole raw argument, '--=' included, is the ambiguous option
+    (["indices", f"{FIXTURES}/garfield.csv", "--={}"],
+     "ambiguous option: a 100003-character argument could match "),
+], ids=["unrecognized", "attached_choice", "attached_integer", "ambiguous_option"])
+def test_long_argument_is_named_by_its_length_in_any_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(*[arg.format("q" * 100000) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f": error: {message}" in err
     assert len(err) < 500
 
 
@@ -405,15 +444,12 @@ def test_table_diff_mismatch_exits_1(tmp_path):
 @pytest.mark.parametrize("table", ["1", "2", "5"])
 def test_expected_cells_name_filled_columns(table):
     # the diff report checks every expected cell, so each must be in the table
-    expected = {
-        "1": refdata.TABLE1_EXPECTED,
-        "2": refdata.TABLE2_EXPECTED,
-        "5": refdata.TABLE5_EXPECTED,
-    }[table]
     code, out = run("table", table, "--fixtures", FIXTURES)
     assert code == 0
     rows = {row["researcher"]: row for row in csv.DictReader(io.StringIO(out))}
-    for name, cells in expected.items():
+    # and a table's rows are exactly the researchers it has cells for, in order
+    assert list(rows) == list(refdata.PUBLISHED_CELLS[table])
+    for name, cells in refdata.PUBLISHED_CELLS[table].items():
         for cell in cells:
             assert rows[name].get(cell), (name, cell)
 

@@ -1,5 +1,5 @@
 """Result records stay immutable, importing the CLI stays light, and every
-import in the package is used."""
+import and every module-level private name in the package is used."""
 
 import ast
 import os
@@ -91,3 +91,26 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_every_private_name_is_used():
+    # a module-level private name that nothing in the package reads is dead code
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((SRC / "citest").glob("*.py"))]
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    defined = set()
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(name.id for target in targets for name in ast.walk(target)
+                           if isinstance(name, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+    assert sorted(private - read) == []
