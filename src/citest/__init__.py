@@ -37,7 +37,6 @@ from .estimators import (
     EstimateReport,
     Interval,
     IntervalVariants,
-    RuleOfThumbSet,
     brown_interval,
     error_metrics,
     estimate_A_quick,
@@ -47,7 +46,6 @@ from .estimators import (
     interval_J,
     interval_variants,
     na_ratio_limit,
-    rules_of_thumb,
     yong_interval,
 )
 from .partitions import (

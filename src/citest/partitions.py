@@ -1,10 +1,10 @@
 """Exact integer-partition computations behind the square-root law.
 
-p(n) comes from the pentagonal-number recurrence on exact integers.  The
-count of partitions of n whose largest embedded square (Durfee square) has
-side d is the x^n coefficient of x^(d^2) / prod_{j<=d} (1-x^j)^2, extracted
-by dynamic programming; summed over d it must reproduce p(n), and for small
-n it must match brute-force enumeration.  The distribution's exact mode,
+The count of partitions of n whose largest embedded square (Durfee square)
+has side d is the x^n coefficient of x^(d^2) / prod_{j<=d} (1-x^j)^2,
+extracted by dynamic programming on exact integers.  Every partition has
+exactly one Durfee side, so p(n) is the total of these counts; for small n
+they must match brute-force enumeration.  The distribution's exact mode,
 mean, and variance anchor the 0.5404446*sqrt(n) normal approximation that
 the citation estimators rely on.
 """
@@ -20,7 +20,7 @@ from .constants import DURFEE_MODE_COEFF
 from .errors import ResourceLimit, at_least
 from .indices import suffix_h
 
-MAX_N = 5000  # ceiling on n for both exact algorithms
+MAX_N = 5000  # ceiling on n for the exact Durfee counts
 ENUM_MAX_N = 45  # brute-force enumeration yields all p(n) partitions
 
 
@@ -53,42 +53,12 @@ def durfee_size(part: Partition | tuple[int, ...] | list[int]) -> int:
     return suffix_h(part.parts if isinstance(part, Partition) else tuple(part), 0)
 
 
-def partition_count(n: int) -> int:
-    """Exact p(n) via the pentagonal-number recurrence; p(0) = 1."""
-    _bounded(n, MAX_N)
-    # generalized pentagonal offsets g = k(3k-1)/2 and g + k = k(3k+1)/2 up
-    # to n: p(m - g) is added for odd k and subtracted for even k
-    plus: list[int] = []
-    minus: list[int] = []
-    k = 1
-    while (g := k * (3 * k - 1) // 2) <= n:
-        side = plus if k % 2 else minus
-        side.append(g)
-        if g + k <= n:
-            side.append(g + k)
-        k += 1
-    p = [1] + [0] * n
-    for m in range(1, n + 1):
-        p[m] = sum([p[m - g] for g in plus if g <= m]) - sum([p[m - g] for g in minus if g <= m])
-    return p[n]
-
-
-class DurfeeDistribution(
-    namedtuple("DurfeeDistribution", "n counts total mode mode_tied mean variance")
-):
-    """Exact counts of partitions of n by Durfee-square side."""
-
-    __slots__ = ()
-
-
-def count_by_durfee(n: int) -> DurfeeDistribution:
-    """Exact distribution of Durfee-square sides over all partitions of n.
+def _durfee_counts(n: int) -> dict[int, int]:
+    """Exact count of partitions of n for each Durfee side d.
 
     Coefficients of prod_{j<=d} (1-x^j)^(-2) are grown incrementally in d;
     the count for side d is the x^(n-d^2) coefficient at stage d.
     """
-    from fractions import Fraction  # only the exact moments need it
-
     _bounded(n, MAX_N)
     counts: dict[int, int] = {} if n else {0: 1}  # n = 0: the empty partition, side 0
     coeffs = [1] + [0] * n
@@ -101,7 +71,28 @@ def count_by_durfee(n: int) -> DurfeeDistribution:
             coeffs[r:top + 1:d] = accumulate(accumulate(coeffs[r:top + 1:d]))
         counts[d] = coeffs[top]
         d += 1
+    return counts
 
+
+def partition_count(n: int) -> int:
+    """Exact p(n) as the total of the Durfee counts; p(0) = 1."""
+    return sum(_durfee_counts(n).values())
+
+
+class DurfeeDistribution(
+    namedtuple("DurfeeDistribution", "n counts total mode mode_tied mean variance")
+):
+    """Exact counts of partitions of n by Durfee-square side."""
+
+    __slots__ = ()
+
+
+def count_by_durfee(n: int) -> DurfeeDistribution:
+    """Exact distribution of Durfee-square sides over all partitions of n,
+    with its mode and exact rational mean and variance."""
+    from fractions import Fraction  # only the exact moments need it
+
+    counts = _durfee_counts(n)
     total = sum(counts.values())
     mode = max(counts, key=lambda side: (counts[side], -side))
     mode_tied = sum(1 for c in counts.values() if c == counts[mode]) > 1

@@ -28,7 +28,6 @@ from citest import (
     na_ratio_limit,
     normalize,
     partition_count,
-    rules_of_thumb,
     shifted_h,
     shifted_ladder,
     truncate_head,
@@ -100,7 +99,6 @@ PROFILE = normalize([9, 7, 5, 2, 1])
     (lambda n: hardy_ramanujan(-n), NegativeArgument),
     (lambda n: h_na(-n), NegativeArgument),
     (lambda n: brown_interval(-n), NegativeArgument),
-    (lambda n: rules_of_thumb(-n), NegativeArgument),
     (lambda n: na_ratio_limit(-n), NegativeArgument),
     (lambda n: core_sum(PROFILE, -n), RankOutOfRange),
     (lambda n: core_sum(PROFILE, n), RankOutOfRange),

@@ -13,6 +13,7 @@ from citest import (
     WrongCase,
     brown_interval,
     compute_core_indices,
+    count_by_durfee,
     enumerate_partitions,
     error_metrics,
     estimate_A_quick,
@@ -25,11 +26,12 @@ from citest import (
     interval_variants,
     na_ratio_limit,
     normalize,
-    rules_of_thumb,
     shifted_ladder,
     truncate_head,
     yong_interval,
 )
+from citest.estimators import YONG_H_INTERVALS
+from citest.partitions import MAX_N
 from citest.shifted import DefectAnalysis, ShiftedRow
 
 from conftest import profiles, steep_profiles
@@ -317,24 +319,6 @@ def test_brown_interval_formula():
     assert (band.hi - band.lo) / 2 == pytest.approx(1.96 * (0.57 + 0.045 * root))
 
 
-def test_rules_of_thumb_values():
-    rot = rules_of_thumb(30053)
-    assert abs(rot.durfee_mode - 93.69) < 0.01
-    rot = rules_of_thumb(10000)
-    assert abs(rot.hirsch_band[0] - math.sqrt(2000)) < 1e-9
-    assert abs(rot.hirsch_band[1] - math.sqrt(10000 / 3)) < 1e-9
-    assert rot.spruit == pytest.approx(50.5)
-    assert rot.mahmoudi_d1 is None and rot.radicchi_joint is None
-    assert "mahmoudi_d1" not in rot.as_dict()
-
-
-def test_rules_of_thumb_optional_inputs():
-    rot = rules_of_thumb(10000, p=120, d1_years=20.0, lotka_a=2.0)
-    assert rot.radicchi_joint == pytest.approx(10000**0.41 * 120**0.18)
-    assert rot.mahmoudi_d1 == pytest.approx(0.667 * 20.0**1.041)
-    assert rot.glanzel_schubert == pytest.approx((10000 / 120) ** (2 / 3))
-
-
 def test_na_ratio_limit_values():
     assert abs(na_ratio_limit(1) - 0.764) < 0.001
     assert abs(na_ratio_limit(4) - 0.955) < 0.001
@@ -416,6 +400,21 @@ def test_yong_lookup():
     assert (band.lo, band.hi) == (47.0, 60.0)
     with pytest.raises(KeyError):
         yong_interval(1234)
+
+
+def test_yong_bands_cover_the_exact_durfee_distribution():
+    # the h-index of a partition is its Durfee side, so each band's coverage
+    # of uniform random partitions of N is exact at every grid point <= MAX_N
+    coverage = {
+        300: 0.957, 500: 0.959, 750: 0.962, 1000: 0.981, 1250: 0.974, 1500: 0.972,
+        2000: 0.982, 2500: 0.984, 3000: 0.983, 3500: 0.974, 4000: 0.985, 4500: 0.981,
+    }
+    assert list(coverage) == [n for n in YONG_H_INTERVALS if n <= MAX_N]
+    for n, expected in coverage.items():
+        band = yong_interval(n)
+        dist = count_by_durfee(n)
+        inside = sum(c for side, c in dist.counts.items() if band.lo <= side <= band.hi)
+        assert round(inside / dist.total, 3) == expected, n
 
 
 def test_report_shifted_normal_approximations(fixture_profile):

@@ -17,6 +17,10 @@ from citest import (
     partition_count,
 )
 from citest.partitions import MAX_N
+from conftest import pentagonal_counts
+
+# sampled up to the ceiling; MAX_N - 1 and MAX_N included
+GRID = (2, 17, 60, 121, *range(250, MAX_N + 1, 250), MAX_N - 1)
 
 
 def test_partition_count_small():
@@ -59,7 +63,7 @@ def test_partition_validation():
 def test_count_by_durfee_11():
     dist = count_by_durfee(11)
     assert dist.counts[3] == 5
-    assert dist.total == partition_count(11) == 56
+    assert dist.total == pentagonal_counts(11)[11] == 56
 
 
 def test_count_by_durfee_edges():
@@ -69,12 +73,19 @@ def test_count_by_durfee_edges():
 
 
 def test_count_by_durfee_sums_to_partition_count():
-    # sum_d x^(d^2) / ((x;x)_d)^2 = 1 / (x;x)_inf, sampled up to the ceiling
-    for n in (2, 17, 60, 121, *range(250, MAX_N + 1, 250), MAX_N - 1):
+    # sum_d x^(d^2) / ((x;x)_d)^2 = 1 / (x;x)_inf, against Euler's recurrence
+    p = pentagonal_counts(MAX_N)
+    for n in GRID:
         dist = count_by_durfee(n)
-        assert dist.total == partition_count(n)
+        assert dist.total == p[n]
         assert sum(dist.counts.values()) == dist.total
         assert all(d * d <= n for d in dist.counts)
+
+
+def test_partition_count_matches_pentagonal_recurrence():
+    p = pentagonal_counts(MAX_N)
+    for n in (*range(501), *GRID):
+        assert partition_count(n) == p[n], n
 
 
 @pytest.mark.parametrize("exact", [count_by_durfee, partition_count],
@@ -218,7 +229,7 @@ def test_hardy_ramanujan_ratio():
 
 def test_recurrence_vs_dp_digit_for_digit():
     dist = count_by_durfee(1000)
-    assert sum(dist.counts.values()) == partition_count(1000)
+    assert sum(dist.counts.values()) == pentagonal_counts(1000)[1000]
 
 
 def test_mode_drift_bounded_on_grid():

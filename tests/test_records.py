@@ -18,7 +18,6 @@ from citest import (
     h_defect,
     interval_variants,
     normalize,
-    rules_of_thumb,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -40,7 +39,6 @@ def _records():
         "CaseWeights": (report.weights, "beta_d"),
         "EstimateReport": (report, "a_est"),
         "ErrorMetrics": (error_metrics(profile, report), "delta_a"),
-        "RuleOfThumbSet": (rules_of_thumb(1000), "spruit"),
         "Partition": (Partition((3, 1)), "parts"),
         "DurfeeDistribution": (count_by_durfee(10), "mode"),
     }
@@ -66,13 +64,17 @@ def test_record_refuses_assignment(kind):
 def test_cli_import_leaves_heavy_modules_out():
     heavy = ["dataclasses", "typing", "pathlib", "inspect", "datetime", "fractions", "decimal",
              "threading"]
-    code = "import sys, citest.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code, *heavy],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout.split() == []
+    report = "print(*sorted(set(sys.argv[1:]) & set(sys.modules)), file=sys.stderr)"
+    # after the import alone, and after ``partition count``, which must not
+    # reach the Fraction moments of count_by_durfee
+    for run in ("", "main(['partition', 'count', '100']); "):
+        code = f"import sys; from citest.cli import main; {run}{report}"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, *heavy],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stderr.split() == [], run
 
 
 def test_every_imported_name_is_used():
