@@ -103,19 +103,20 @@ def _count(line: int, text: str) -> int:
     raise ParseError(line, f"expected a decimal integer, got {quoted(text)}")
 
 
-def _tallied(texts: Counter, name: str = "") -> CitationProfile | None:
-    """The profile of these value texts and their counts, or ``None`` if in doubt.
+def _tallied(pairs: Iterable[tuple[int, str]], name: str = "") -> CitationProfile | None:
+    """The profile of these ``(times, text)`` pairs, or ``None`` if in doubt.
 
     A profile is a partition of N_cit, so it has at most sqrt(2 N_cit) + 1
-    distinct counts: only those are stripped, checked, read and sorted.
-    ``None`` (a bad text, a count past ``int()``'s limit or ``MAX_CITATIONS``)
-    sends the input to the line-by-line scan, which words the error.
+    distinct counts: only those are stripped, checked, read and sorted, each
+    text standing for ``times`` entries.  ``None`` (a bad text, a count past
+    ``int()``'s limit or ``MAX_CITATIONS``) sends the input to the
+    line-by-line scan, which words the error.
     """
     counts: dict[int, int] = {}
-    for text, times in texts.items():
+    for times, text in pairs:
         text = text.strip()
         if text:
-            if not _is_digits(text):
+            if not (text.isdigit() and text.isascii()):  # _is_digits, without a call per text
                 return None
             try:
                 value = int(text)
@@ -131,7 +132,8 @@ def _tallied(texts: Counter, name: str = "") -> CitationProfile | None:
 
 def _load_lines(first: str, rest: io.TextIOBase) -> CitationProfile:
     lines = (first + rest.read()).split("\n")
-    return _tallied(Counter(lines)) or _profile(
+    tally = Counter(lines)
+    return _tallied(zip(tally.values(), tally)) or _profile(
         [_count(lineno, text) for lineno, line in enumerate(lines, start=1) if (text := line.strip())]
     )
 
@@ -165,17 +167,25 @@ def _csv_tally(first: str, rest: io.TextIOBase) -> CitationProfile | None:
     if "#" in rest.read():
         return None
     rest.seek(body)
-    reader = csv.reader(chain((head,), rest))
-    rows = filter(None, reader)
+    rows = filter(None, csv.reader(chain((head,), rest)))
     columns = _columns(next(rows, []))
     if "citations" not in columns:
         return None
     at = columns["citations"]
     meta = next(rows, [])
-    # padding reads a short row or a blank line as an empty cell
-    cells = map(add, chain((meta,), reader), repeat([""] * (at + 1)))
-    texts = Counter(map(itemgetter(at), cells))
-    return _tallied(texts, _name(columns, meta))
+    # The lines below the name row are counted whole, and each distinct line
+    # is parsed once.  That is the scan's reading only while every distinct
+    # line is one row: ``line_num`` counts the lines the reader took, so a
+    # quoted field that runs onto a later line shows as a surplus, and the
+    # sentinel makes a quote left open on the last line take one more.
+    # The counts lead the zip, so no row is asked for past the last line.
+    lines = Counter(rest)
+    reader = csv.reader(chain(lines, ("\n",)))
+    pad = [""] * (at + 1)  # a short row or a blank line reads as an empty cell
+    cells = map(itemgetter(at), map(add, reader, repeat(pad)))
+    pairs = chain([(1, (meta + pad)[at])], zip(lines.values(), cells))
+    profile = _tallied(pairs, _name(columns, meta))
+    return profile if reader.line_num == len(lines) else None
 
 
 def _csv_scan(first: str, rest: io.TextIOBase) -> CitationProfile:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -378,10 +379,11 @@ def _loaded(stream, fmt):
     return profile.citations, profile.name
 
 
-CELL = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["", " 5 ", "007", "7", "\t7"]))
+CELL = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["", " 5 ", "007", "7", "\t7", 'a"']))
 ODD_CELL = st.one_of(CLEAN, ODD, st.sampled_from([
     "C# dev", '"Ann\nLee"', '"3\n4"', '"# x\n5"', "1" * (csv.field_size_limit() + 1),
 ]))
+OPEN_QUOTE = st.sampled_from(['6,"b', '"b', '"b,6'])  # closed by a later 'a"', or never
 COMMENT = st.sampled_from(["# provenance", "  # indented", "#"])
 HEADER = st.sampled_from(["citations", "name,citations", "name,source,citations",
                           "citations,x,citations", "name,citations,citations", "counts"])
@@ -389,12 +391,19 @@ HEADER = st.sampled_from(["citations", "name,citations", "name,source,citations"
 
 @st.composite
 def _csv_text(draw):
-    """Comment and blank lines, a header, rows of any width, and a few odd lines."""
+    """Comment and blank lines, a header, rows of any width, and a few odd lines.
+
+    Rows are drawn from a small pool, so lines repeat as in a real export.  A
+    pool row or an odd line may open a quote that a later ``a"`` cell closes,
+    or that runs to the end of the input.
+    """
     lines = draw(st.lists(COMMENT | st.just(""), max_size=3)) + [draw(HEADER)]
     top = len(lines)
-    lines += draw(st.lists(st.lists(CELL, max_size=4).map(",".join), max_size=8))
+    row = st.lists(CELL, min_size=1, max_size=4).map(",".join) | OPEN_QUOTE
+    pool = draw(st.lists(row, min_size=1, max_size=3))
+    lines += draw(st.lists(st.sampled_from(pool), max_size=8))
     for _ in range(draw(st.integers(0, 2))):
-        odd = draw(COMMENT | st.lists(ODD_CELL, min_size=1, max_size=3).map(",".join))
+        odd = draw(COMMENT | OPEN_QUOTE | st.lists(ODD_CELL, min_size=1, max_size=3).map(",".join))
         lines.insert(draw(st.integers(top, len(lines))), odd)
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
 
@@ -403,6 +412,41 @@ def _csv_text(draw):
 @given(_csv_text())
 def test_load_csv_tally_matches_per_row_scan(text):
     assert _loaded(io.StringIO(text), "csv") == _loaded(_Unseekable(text), "csv")
+
+
+@pytest.mark.parametrize("text, citations", [
+    ('citations,note\n1,m\n5,a"\n6,"b\n5,a"\n', (6, 5, 1)),
+    ('citations,note\n5,x\n6,"b\n5,x"\n', (6, 5)),
+    ('citations,note\n1,m\n5\n6,"b\n5\n', (6, 5, 1)),
+], ids=["closed_by_a_repeated_line", "closed_on_the_last_line", "open_at_the_end"])
+def test_load_csv_quote_across_lines_is_read_row_by_row(text, citations):
+    # a distinct line parsed alone would count '5,a"' or '5' twice
+    assert _loaded(io.StringIO(text), "csv") == (citations, "")
+    assert _loaded(_Unseekable(text), "csv") == (citations, "")
+
+
+def _long_export(quote):
+    """A 5x10^4-row heavy-tailed profile laid out as an export: the name on the first row."""
+    rng = random.Random(7)
+    raw = [int(5 * ((1 - (i + rng.random()) / 50000) ** -0.7 - 1)) for i in range(50000)]
+    rows = [["name", "source", "date", "citations"], ["Long", "other", "2023-01-01", raw[0]]]
+    rows += [["", "", "", v] for v in raw[1:]]
+    out = io.StringIO()
+    csv.writer(out, quoting=quote, lineterminator="\n").writerows(rows)
+    return out.getvalue(), tuple(sorted(raw, reverse=True))
+
+
+@pytest.mark.parametrize("quote", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["plain", "all_quoted"])
+def test_load_csv_tally_takes_a_long_export(monkeypatch, quote):
+    text, citations = _long_export(quote)
+    expected = _loaded(_Unseekable(text), "csv")
+    assert expected == (citations, "Long")
+
+    def scan(first, rest):
+        raise AssertionError("the per-row scan ran")
+
+    monkeypatch.setattr(citest.profile, "_csv_scan", scan)
+    assert _loaded(io.StringIO(text), "csv") == expected
 
 
 @pytest.mark.parametrize("text, citations", [
