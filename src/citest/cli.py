@@ -67,15 +67,10 @@ def _fmt(value, precision: int) -> str:
 def _load(path: str, fmt: str | None):
     suffixes = {".json": "json", ".csv": "csv"}
     fmt = fmt or suffixes.get(os.path.splitext(path)[1].lower(), "lines")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_profile(fh, fmt)
-    except UnicodeDecodeError:
-        # the text layer names a position inside its 8192-byte decode chunk;
-        # decoding the whole file names the offset in the file
-        with open(path, "rb") as fh:
-            fh.read().decode("utf-8")
-        raise
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")  # decoded whole: an error names the file offset
+    # newline=None reads '\r\n' and a lone '\r' as '\n', as text mode does
+    return load_profile(io.StringIO(text, newline=None), fmt)
 
 
 def _emit_table(rows, precision, out) -> None:

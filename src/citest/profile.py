@@ -84,18 +84,14 @@ def _profile(entries: list, name: str = "") -> CitationProfile:
 _TOO_LARGE = "citation count too large"
 
 
-def _is_digits(text: str) -> bool:
-    # the grammar of a count
-    return text.isdigit() and text.isascii()
-
-
 def _count(line: int, text: str) -> int:
     """Read one stripped, non-empty value, or raise.
 
     A value is ASCII digits; a leading ``-`` is read too, so that normalizing
     names the negative count with its position.
     """
-    if _is_digits(text.removeprefix("-")):
+    digits = text.removeprefix("-")
+    if digits.isdigit() and digits.isascii():  # the grammar of a count
         try:
             return int(text)
         except ValueError:  # int() refuses a digit string past its limit
@@ -116,7 +112,7 @@ def _tallied(pairs: Iterable[tuple[int, str]], name: str = "") -> CitationProfil
     for times, text in pairs:
         text = text.strip()
         if text:
-            if not (text.isdigit() and text.isascii()):  # _is_digits, without a call per text
+            if not (text.isdigit() and text.isascii()):  # _count's grammar, without a call per text
                 return None
             try:
                 value = int(text)
@@ -139,8 +135,9 @@ def _load_lines(first: str, rest: io.TextIOBase) -> CitationProfile:
 
 
 def _load_csv(first: str, rest: io.TextIOBase) -> CitationProfile:
-    # The tally reads the text twice, so it takes only a stream that can tell
-    # its place; anything it is unsure of goes back there for the per-row scan.
+    # The tally reads the text once; anything it is unsure of goes back to
+    # where it started for the per-row scan, so it takes only a stream that
+    # can tell its place.
     try:
         start = rest.tell() if rest.seekable() else None
     except OSError:  # a text file iterated with next() cannot tell
@@ -156,44 +153,22 @@ def _load_csv(first: str, rest: io.TextIOBase) -> CitationProfile:
     return _csv_scan(first, rest)
 
 
-def _csv_tally(first: str, rest: io.TextIOBase) -> CitationProfile | None:
-    # ``None`` leaves the input to the per-row scan
-    head = first
-    while head.lstrip().startswith("#"):
-        head = rest.readline()
-    body = rest.tell()
-    # the scan blanks a '#' line below the header too, even inside a quoted
-    # field; such input is left to it
-    if "#" in rest.read():
-        return None
-    rest.seek(body)
-    rows = filter(None, csv.reader(chain((head,), rest)))
-    columns = _columns(next(rows, []))
-    if "citations" not in columns:
-        return None
-    at = columns["citations"]
-    meta = next(rows, [])
-    # The lines below the name row are counted whole, and each distinct line
-    # is parsed once.  That is the scan's reading only while every distinct
-    # line is one row: ``line_num`` counts the lines the reader took, so a
-    # quoted field that runs onto a later line shows as a surplus, and the
-    # sentinel makes a quote left open on the last line take one more.
-    # The counts lead the zip, so no row is asked for past the last line.
-    lines = Counter(rest)
-    reader = csv.reader(chain(lines, ("\n",)))
-    pad = [""] * (at + 1)  # a short row or a blank line reads as an empty cell
-    cells = map(itemgetter(at), map(add, reader, repeat(pad)))
-    pairs = chain([(1, (meta + pad)[at])], zip(lines.values(), cells))
-    profile = _tallied(pairs, _name(columns, meta))
-    return profile if reader.line_num == len(lines) else None
+def _uncommented(lines: Iterable[str]) -> Iterable[str]:
+    # A line whose first non-blank character is '#' (the fixtures' provenance
+    # notes) reads as blank, even inside a quoted field; ``line_num`` stays
+    # the file line.
+    return ("" if line.lstrip().startswith("#") else line for line in lines)
 
 
-def _csv_scan(first: str, rest: io.TextIOBase) -> CitationProfile:
-    # Comment lines (leading '#') may precede the header; fixture files use
-    # them for provenance notes.  They reach the reader as blank lines, so
-    # ``line_num`` stays the file line.
-    lines = chain((first,), rest)
-    reader = csv.reader("" if line.lstrip().startswith("#") else line for line in lines)
+def _csv_head(first: str, rest: io.TextIOBase):
+    """Read a CSV up to and including its name row.
+
+    Returns the reader, its non-empty rows still to come, the ``citations``
+    column, the name row (the first data row, or ``[]``) and the name.  A
+    ``csv.Error`` is worded at its line, and so is a header without a
+    ``citations`` column.  ``rest`` is left just past the name row.
+    """
+    reader = csv.reader(_uncommented(chain((first,), rest)))
 
     def nonempty_rows():
         try:
@@ -202,29 +177,42 @@ def _csv_scan(first: str, rest: io.TextIOBase) -> CitationProfile:
             raise ParseError(reader.line_num, str(exc)) from None
 
     rows = nonempty_rows()
-    columns = _columns(next(rows, []))
+    # a repeated column name resolves to its last occurrence
+    columns = {column: i for i, column in enumerate(next(rows, []))}
     if "citations" not in columns:
         raise ParseError(reader.line_num or 1, "CSV header must contain a 'citations' column")
-    at = columns["citations"]
+    meta = next(rows, [])
+    i = columns.get("name")
+    name = meta[i].strip() if i is not None and i < len(meta) else ""
+    return reader, rows, columns["citations"], meta, name
 
+
+def _csv_tally(first: str, rest: io.TextIOBase) -> CitationProfile | None:
+    # ``None`` leaves the input to the per-row scan
+    _, _, at, meta, name = _csv_head(first, rest)
+    # The lines below the name row are counted whole, and each distinct line
+    # is parsed once.  That is the scan's reading only while every distinct
+    # line is one row: ``line_num`` counts the lines the reader took, so a
+    # quoted field that runs onto a later line shows as a surplus, and the
+    # sentinel makes a quote left open on the last line take one more.
+    # The counts lead the zip, so no row is asked for past the last line.
+    lines = Counter(rest)
+    reader = csv.reader(chain(_uncommented(lines), ("\n",)))
+    pad = [""] * (at + 1)  # a short row or a blank line reads as an empty cell
+    cells = map(itemgetter(at), map(add, reader, repeat(pad)))
+    pairs = chain([(1, (meta + pad)[at])], zip(lines.values(), cells))
+    profile = _tallied(pairs, name)
+    return profile if reader.line_num == len(lines) else None
+
+
+def _csv_scan(first: str, rest: io.TextIOBase) -> CitationProfile:
+    reader, rows, at, meta, name = _csv_head(first, rest)
     values: list[int] = []
-    meta: list[str] = []  # the name, when present, sits on the first data row
-    for row in rows:
-        meta = meta or row
+    for row in chain([meta], rows):
         text = row[at].strip() if at < len(row) else ""
         if text:  # ``line_num`` still names this row
             values.append(_count(reader.line_num, text))
-    return _profile(values, _name(columns, meta))
-
-
-def _columns(header: list[str]) -> dict[str, int]:
-    # a repeated column name resolves to its last occurrence
-    return {column: i for i, column in enumerate(header)}
-
-
-def _name(columns: dict[str, int], meta: list[str]) -> str:
-    i = columns.get("name")
-    return meta[i].strip() if i is not None and i < len(meta) else ""
+    return _profile(values, name)
 
 
 def _load_json(first: str, rest: io.TextIOBase) -> CitationProfile:
@@ -242,7 +230,10 @@ def _load_json(first: str, rest: io.TextIOBase) -> CitationProfile:
     raw = payload["citations"]
     if not isinstance(raw, list):
         raise ParseError(1, "'citations' must be an array of integers")
-    return _profile(raw, str(payload.get("name", "")))
+    name = payload.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ParseError(1, "'name' must be a string")
+    return _profile(raw, name or "")
 
 
 def load_profile(stream: io.TextIOBase, format: str) -> CitationProfile:

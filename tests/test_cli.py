@@ -137,6 +137,24 @@ def test_not_utf8_names_the_offset_in_the_file(tmp_path, capsys, suffix, body, o
     )
 
 
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("argv", [["indices"], ["estimate", "--ladder"]], ids=["indices", "ladder"])
+def test_line_endings_read_as_newlines(tmp_path, argv, ending):
+    text = (Path(FIXTURES) / "garfield.csv").read_text(encoding="utf-8")
+    path = tmp_path / "garfield.csv"
+    path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+    code, out = run(argv[0], f"{FIXTURES}/garfield.csv", *argv[1:])
+    assert code == 0
+    assert run(argv[0], str(path), *argv[1:]) == (code, out)
+
+
+def test_json_name_not_a_string_exits_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text('{"name": ["Ann", "Lee"], "citations": [9, 5, 5, 2]}')
+    assert run("indices", str(path)) == (2, "")
+    assert capsys.readouterr().err == "citest: bad input: line 1: 'name' must be a string\n"
+
+
 def test_estimate_directory_input_exits_2(tmp_path, capsys):
     code, _ = run("estimate", str(tmp_path))
     assert code == 2

@@ -110,6 +110,20 @@ def test_load_json_citations_must_be_an_array():
         load_profile(io.StringIO('{"citations": 5}'), "json")
 
 
+def test_load_json_null_name_is_no_name():
+    p = load_profile(io.StringIO('{"name": null, "citations": [3, 1]}'), "json")
+    assert p.name == ""
+    assert p == load_profile(io.StringIO('{"citations": [1, 3]}'), "json")
+
+
+@pytest.mark.parametrize("name", ["5", '["Ann", "Lee"]', '{"first": "Ann"}', "false"])
+def test_load_json_name_must_be_a_string(name):
+    with pytest.raises(ParseError) as err:
+        load_profile(io.StringIO(f'{{"name": {name}, "citations": [3, 1]}}'), "json")
+    assert err.value.line == 1
+    assert str(err.value) == "line 1: 'name' must be a string"
+
+
 def test_load_profile_rejects_unknown_format():
     with pytest.raises(ValueError, match="unknown format 'xml'"):
         load_profile(io.StringIO("5\n"), "xml")
@@ -436,16 +450,19 @@ def _long_export(quote):
     return out.getvalue(), tuple(sorted(raw, reverse=True))
 
 
+def _no_scan(monkeypatch):
+    def scan(first, rest):
+        raise AssertionError("the per-row scan ran")
+
+    monkeypatch.setattr(citest.profile, "_csv_scan", scan)
+
+
 @pytest.mark.parametrize("quote", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["plain", "all_quoted"])
 def test_load_csv_tally_takes_a_long_export(monkeypatch, quote):
     text, citations = _long_export(quote)
     expected = _loaded(_Unseekable(text), "csv")
     assert expected == (citations, "Long")
-
-    def scan(first, rest):
-        raise AssertionError("the per-row scan ran")
-
-    monkeypatch.setattr(citest.profile, "_csv_scan", scan)
+    _no_scan(monkeypatch)
     assert _loaded(io.StringIO(text), "csv") == expected
 
 
@@ -468,9 +485,22 @@ def test_load_csv_from_a_text_file_read_with_next(tmp_path):
 
 
 def test_load_csv_tally_reads_comments_above_the_header(monkeypatch):
-    def scan(first, rest):
-        raise AssertionError("the per-row scan ran")
-
-    monkeypatch.setattr(citest.profile, "_csv_scan", scan)
+    _no_scan(monkeypatch)
     text = "# provenance\n  # second note\nname,citations\nX,5\n,3\n\n,007\n"
     assert _loaded(io.StringIO(text), "csv") == ((7, 5, 3), "X")
+
+
+def test_load_csv_tally_reads_comments_below_the_header(monkeypatch):
+    text = "name,citations\n# between header and name row\nX,5\n,3\n  # among the rows, 12\n,3\n#,9\n,007\n"
+    expected = _loaded(_Unseekable(text), "csv")
+    assert expected == ((7, 5, 3, 3), "X")
+    _no_scan(monkeypatch)
+    assert _loaded(io.StringIO(text), "csv") == expected
+
+
+def test_load_csv_tally_words_a_missing_citations_column(monkeypatch):
+    text = "# note\nname,counts\nX,5\n"
+    expected = _loaded(_Unseekable(text), "csv")
+    assert expected == (ParseError, 2, "line 2: CSV header must contain a 'citations' column")
+    _no_scan(monkeypatch)
+    assert _loaded(io.StringIO(text), "csv") == expected
