@@ -1,7 +1,9 @@
 """Citation-profile data model, validation, and ingestion.
 
 A profile is a non-increasing sequence of non-negative integer citation
-counts.  Loaders accept unsorted input and sort it; zero entries are kept
+counts.  Loaders and ``normalize`` accept unsorted input; where a profile's
+size allows, they tally its distinct counts and sort only those, else they
+sort every entry.  Zero entries are kept
 (they contribute to ``p`` but to no index).  A profile whose ``complete``
 flag is false is a rank prefix for blind estimation: the tail of the profile
 is unknown.
@@ -16,6 +18,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable
 from functools import cached_property
 from itertools import chain, repeat
+from math import isqrt
 from operator import add, itemgetter
 
 from .errors import NegativeCitation, ParseError, RankOutOfRange, quoted, shown
@@ -50,7 +53,7 @@ class CitationProfile(
     # summed on first access; equality and hashing still read only the fields
     @cached_property
     def n_p_plus(self) -> int:
-        return sum(1 for c in self.citations if c >= 1)
+        return self.p - self.citations.count(0)  # every entry is >= 0
 
     @cached_property
     def n_cit(self) -> int:
@@ -67,18 +70,63 @@ def normalize(raw: Iterable[int], name: str = "") -> CitationProfile:
 
 
 def _profile(entries: list, name: str = "") -> CitationProfile:
-    # ``entries`` is the caller's own list and is sorted in place.  Two C-level
-    # checks cover the usual input; the loop runs only to name a bad position.
-    if not set(map(type, entries)) <= {int} or (entries and min(entries) < 0):
-        for i, value in enumerate(entries):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ParseError(None, f"citation at position {i} must be an integer, got {quoted(value)}")
-            if value < 0:
-                raise NegativeCitation(i, value)
-    entries.sort(reverse=True)
-    if entries and entries[0] > MAX_CITATIONS:
+    # C-level checks cover the usual input; _name_bad_entry runs only to name
+    # a bad position.  Every entry's type is checked before any counting: a
+    # Counter would merge True and 1.0 into the key 1.
+    if not set(map(type, entries)) <= {int}:
+        _name_bad_entry(entries)
+    if _tally_pays(entries):
+        counts = Counter(entries)
+        if min(counts) < 0:
+            _name_bad_entry(entries)
+        profile = _expanded(counts, name)
+    else:
+        # a sorted copy, so that the input order still names a negative's position
+        ordered = sorted(entries, reverse=True)
+        if ordered and ordered[-1] < 0:
+            _name_bad_entry(entries)
+        fits = not ordered or ordered[0] <= MAX_CITATIONS
+        profile = CitationProfile(citations=tuple(ordered), name=name) if fits else None
+    if profile is None:
         raise ParseError(None, f"citation count above the maximum of {MAX_CITATIONS}")
-    return CitationProfile(citations=tuple(entries), name=name)
+    return profile
+
+
+def _name_bad_entry(entries: list) -> None:
+    """Raise for the first entry that is not an integer >= 0."""
+    for i, value in enumerate(entries):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(None, f"citation at position {i} must be an integer, got {quoted(value)}")
+        if value < 0:
+            raise NegativeCitation(i, value)
+
+
+def _tally_pays(entries: list[int]) -> bool:
+    """Whether counting these integers beats sorting them.
+
+    A profile is a partition of its total, so it holds at most
+    isqrt(2 total) + 1 distinct counts; a tally pays when that is at most
+    p/8.  Input already in order, either way, sorts in linear time; about 32
+    evenly spaced entries tell, and such input pays not even the sum.
+    """
+    sample = entries[:: len(entries) // 32 or 1]
+    ordered = sorted(sample)
+    if sample == ordered or sample[::-1] == ordered:
+        return False
+    total = sum(entries)
+    return total >= 0 and 8 * (isqrt(2 * total) + 1) <= len(entries)
+
+
+def _expanded(counts: dict[int, int], name: str) -> CitationProfile | None:
+    """The profile holding each key of ``counts`` that many times.
+
+    Only the keys are sorted.  ``None`` if a key is above ``MAX_CITATIONS``.
+    """
+    order = sorted(counts, reverse=True)
+    if order and order[0] > MAX_CITATIONS:
+        return None
+    expanded = chain.from_iterable(map(repeat, order, map(counts.__getitem__, order)))
+    return CitationProfile(citations=tuple(expanded), name=name)
 
 
 _TOO_LARGE = "citation count too large"
@@ -119,11 +167,7 @@ def _tallied(pairs: Iterable[tuple[int, str]], name: str = "") -> CitationProfil
             except ValueError:  # int()'s digit limit
                 return None
             counts[value] = counts.get(value, 0) + times  # '007' and '7' are one value
-    order = sorted(counts, reverse=True)
-    if order and order[0] > MAX_CITATIONS:
-        return None
-    expanded = chain.from_iterable(map(repeat, order, map(counts.__getitem__, order)))
-    return CitationProfile(citations=tuple(expanded), name=name)
+    return _expanded(counts, name)
 
 
 def _load_lines(first: str, rest: io.TextIOBase) -> CitationProfile:

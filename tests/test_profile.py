@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -376,6 +377,33 @@ def test_normalize_matches_per_entry_validation(raw):
     assert raw == before  # the caller's list is copied, not sorted in place
 
 
+@st.composite
+def _duplicate_heavy(draw):
+    """40-300 entries from 0..5 whose total keeps the partition bound at p/8
+    or below, so they are tallied, with a few bad entries at drawn positions.
+
+    A bool or float equals an int a Counter already holds: ``True`` and
+    ``1.0`` go after a ``1``, ``False`` after a ``0``.
+    """
+    p = draw(st.integers(40, 300))
+    budget = ((p // 8) ** 2 - 1) // 2  # the largest total with 8 (isqrt(2 total) + 1) <= p
+    small = draw(st.lists(st.integers(0, 5), min_size=budget // 10, max_size=budget // 5))
+    raw = draw(st.permutations(small + [0] * (p - len(small))))
+    for _ in range(draw(st.integers(0, 2))):
+        bad = draw(st.sampled_from([True, 1.0, False, -1, MAX_CITATIONS + 1]))
+        after = [i + 1 for i, v in enumerate(raw) if v == bad and type(v) is int]
+        raw.insert(draw(st.sampled_from(after or [draw(st.integers(0, len(raw)))])), bad)
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(_duplicate_heavy())
+def test_tally_matches_per_entry_validation(raw):
+    expected = _outcome(_reference_normalize, raw)
+    assert _outcome(normalize, raw) == expected
+    assert _outcome(load_profile, io.StringIO(json.dumps({"citations": raw})), "json") == expected
+
+
 # ------------------------------------------------------------ tally = per-row scan
 # A seekable CSV stream is read as a tally of its distinct counts; a stream
 # that cannot seek goes straight to the per-row scan, which is the reference.
@@ -439,10 +467,15 @@ def test_load_csv_quote_across_lines_is_read_row_by_row(text, citations):
     assert _loaded(_Unseekable(text), "csv") == (citations, "")
 
 
+def _heavy_tail():
+    """5x10^4 heavy-tailed counts, rising from the smallest."""
+    rng = random.Random(7)
+    return [int(5 * ((1 - (i + rng.random()) / 50000) ** -0.7 - 1)) for i in range(50000)]
+
+
 def _long_export(quote):
     """A 5x10^4-row heavy-tailed profile laid out as an export: the name on the first row."""
-    rng = random.Random(7)
-    raw = [int(5 * ((1 - (i + rng.random()) / 50000) ** -0.7 - 1)) for i in range(50000)]
+    raw = _heavy_tail()
     rows = [["name", "source", "date", "citations"], ["Long", "other", "2023-01-01", raw[0]]]
     rows += [["", "", "", v] for v in raw[1:]]
     out = io.StringIO()
@@ -464,6 +497,34 @@ def test_load_csv_tally_takes_a_long_export(monkeypatch, quote):
     assert expected == (citations, "Long")
     _no_scan(monkeypatch)
     assert _loaded(io.StringIO(text), "csv") == expected
+
+
+def _counted(monkeypatch):
+    """Record the size of every list the loaders count with a ``Counter``."""
+    sizes = []
+
+    def counter(values):
+        sizes.append(len(values))
+        return collections.Counter(values)
+
+    monkeypatch.setattr(citest.profile, "Counter", counter)
+    return sizes
+
+
+@pytest.mark.parametrize("raw, tallied", [
+    (random.Random(7).sample(_heavy_tail(), 50000), True),
+    (sorted(_heavy_tail(), reverse=True), False),
+    (_heavy_tail(), False),
+    (random.Random(7).sample(range(10**9), 50000), False),
+], ids=["heavy_tail_shuffled", "heavy_tail_in_order", "heavy_tail_rising", "all_distinct"])
+def test_load_json_tallies_only_where_it_pays(monkeypatch, raw, tallied):
+    # a shuffled heavy tail has a few hundred distinct counts; input in order
+    # sorts in linear time, and 5x10^4 distinct counts up to 10^9 are far
+    # past the partition bound
+    text = json.dumps({"name": "Long", "citations": raw})
+    sizes = _counted(monkeypatch)
+    assert _loaded(io.StringIO(text), "json") == (tuple(sorted(raw, reverse=True)), "Long")
+    assert sizes == ([len(raw)] if tallied else [])
 
 
 @pytest.mark.parametrize("text, citations", [
