@@ -1,10 +1,11 @@
 """Command-line interface: index reports, estimation, partitions, table reproduction.
 
-Exit codes: 1 ``table --diff`` found mismatches, 2 bad input (a parse
-failure, or a file that cannot be read or written: missing, a directory, not
-permitted, not UTF-8 text), 3 empty/degenerate core, 4 insufficient rank
-prefix, 5 resource ceiling, 6 missing fixtures.
-All output is deterministic for identical inputs.
+``indices`` and table 1 print columns picked off one row, ``_indices_row``;
+``estimate`` and tables 2 and 5 off another, ``_estimate_row``.  Exit code 1
+means ``table --diff`` found mismatches.  A failure prints one
+``citest: <label>: <message>`` line on stderr and exits with the code that
+``_FAILURES`` gives its exception.  All output is deterministic for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -41,15 +42,35 @@ from .profile import load_profile, truncate_head
 from .shifted import h_defect
 
 EXIT_DIFF = 1
-EXIT_PARSE = 2
-EXIT_DEGENERATE = 3
-EXIT_TAIL = 4
-EXIT_RESOURCE = 5
-EXIT_FIXTURES = 6
 
 
 class MissingFixtures(Exception):
     """``table`` found no fixture directory or lacks some fixture files."""
+
+
+# each failure's exit code and stderr label; an exception not named here propagates
+_FAILURES = {
+    # a parse failure, or a file that cannot be read or written
+    **dict.fromkeys((ParseError, NegativeCitation, NegativeArgument, RankOutOfRange,
+                     OSError, UnicodeDecodeError), (2, "bad input")),
+    MissingFixtures: (6, "missing fixtures"),
+    **dict.fromkeys((EmptyCore, DegenerateCore), (3, "degenerate profile")),
+    InsufficientTail: (4, "insufficient prefix"),
+    ResourceLimit: (5, "resource ceiling"),
+}
+
+# the columns each command and table prints, in order; ``out=key`` prints
+# the row's ``key`` under the name ``out``
+_INDICES = ("name p n_p_plus n_cit h g n_cit_h a_index r_index e_index h_cap_index d_index"
+            " r_floor q q_prime h_na h_na_over_h e_over_h q_over_e i i_mean")
+_ESTIMATE = "name d case h_d e_d q_d j_d j_d1 a b_prime b_dprime b"
+_ESTIMATE_BLIND = _ESTIMATE + " ranks_consumed"
+_ESTIMATE_FULL = _ESTIMATE + " cap_delta_a cap_delta_b delta_a delta_b"
+_LADDER = "k h_k n_h_k n_cit_k e_k q_k"
+_TABLE1 = ("researcher=name n_p_plus n_cit h n_cit_h h_na q e=e_index i i_mean iq iq_mean"
+           " r=r_floor ir ir_mean q_prime iq_prime iq_prime_mean")
+_TABLE2 = ("researcher=name n_cit h case d h_d n_h_d e_d q_d j_d j_d_mean"
+           " h_d1 e_d1 q_d1 j_d1 j_d1_mean a b_prime b_dprime b cap_delta_a cap_delta_b delta_b")
 
 
 def _fmt(value, precision: int) -> str:
@@ -71,6 +92,10 @@ def _load(path: str, fmt: str | None):
         text = fh.read().decode("utf-8")  # decoded whole: an error names the file offset
     # newline=None reads '\r\n' and a lone '\r' as '\n', as text mode does
     return load_profile(io.StringIO(text, newline=None), fmt)
+
+
+def _pick(row: dict, columns: str) -> dict:
+    return {out: row[key or out] for out, _, key in (c.partition("=") for c in columns.split())}
 
 
 def _emit_table(rows, precision, out) -> None:
@@ -99,34 +124,28 @@ def _emit_row(row: dict, style: str, precision: int, out) -> None:
 
 # ------------------------------------------------------------- indices
 
-def cmd_indices(args) -> int:
-    profile = _load(args.file, args.format)
-    ci = compute_core_indices(profile)
+def _indices_row(profile, name) -> dict:
+    """Every column of ``indices`` and of table 1 for ``profile``."""
+    indices = compute_core_indices(profile)
     na = h_na(profile.n_cit)
-    variants = interval_variants(ci)
-    row = {
-        "name": profile.name,
+    variants = interval_variants(indices)  # e = 0 raises here, before q / e
+    return {
+        "name": name,
         "p": profile.p,
         "n_p_plus": profile.n_p_plus,
         "n_cit": profile.n_cit,
-        "h": ci.h,
-        "g": ci.g,
-        "n_cit_h": ci.n_cit_h,
-        "a_index": ci.a_index,
-        "r_index": ci.r_index,
-        "e_index": ci.e_index,
-        "h_cap_index": ci.h_cap_index,
-        "d_index": ci.d_index,
-        "r_floor": ci.r_floor,
-        "q": ci.q,
-        "q_prime": ci.q_prime,
+        **indices._asdict(),
         "h_na": na,
-        "h_na_over_h": na / ci.h,
-        "e_over_h": ci.e_index / ci.h,
-        "q_over_e": ci.q / ci.e_index,
-        "i": variants.i,
-        "i_mean": variants.i_mean,
+        "h_na_over_h": na / indices.h,
+        "e_over_h": indices.e_index / indices.h,
+        "q_over_e": indices.q / indices.e_index,
+        **variants._asdict(),
     }
+
+
+def cmd_indices(args) -> int:
+    profile = _load(args.file, args.format)
+    row = _pick(_indices_row(profile, profile.name), _INDICES)
     style = "json" if args.json else ("csv" if args.csv else "plain")
     _emit_row(row, style, args.precision, sys.stdout)
     return 0
@@ -134,42 +153,54 @@ def cmd_indices(args) -> int:
 
 # ------------------------------------------------------------- estimate
 
-def cmd_estimate(args) -> int:
-    profile = _load(args.file, args.format)
-    subject = profile
-    if args.blind is not None:
-        subject = truncate_head(profile, args.blind)
+def _estimate_row(profile, subject, name, metrics: bool = True) -> dict:
+    """Every column of ``estimate`` and of tables 2 and 5 for ``subject``, the
+    full ``profile`` or a rank prefix of it, with the ladder rows 0..d+1 under
+    ``ladder``; the error metrics too when ``subject`` is complete and
+    ``metrics`` is true."""
     defect = h_defect(subject)
     report = estimate_report(subject, defect)
-    if args.ladder:
-        columns = ("k", "h_k", "n_h_k", "n_cit_k", "e_k", "q_k")
-        rows = [{c: getattr(row, c) for c in columns} for row in defect.rows]
-        _emit_table(rows, args.precision, sys.stdout)
-        return 0
+    row_d, row_d1 = defect.row_d, defect.row_d1
     row = {
-        "name": profile.name,
-        "d": report.d,
+        "name": name,
+        "n_cit": profile.n_cit,
+        "h": defect.rows[0].h_k,
         "case": report.case_tag,
-        "h_d": defect.row_d.h_k,
-        "e_d": defect.row_d.e_k,
-        "q_d": defect.row_d.q_k,
+        "d": report.d,
+        "h_d": row_d.h_k,
+        "n_h_d": row_d.n_h_k,
+        "e_d": row_d.e_k,
+        "q_d": row_d.q_k,
         "j_d": report.j_d,
+        "j_d_mean": report.j_d.midpoint,
+        "h_d1": row_d1.h_k,
+        "e_d1": row_d1.e_k,
+        "q_d1": row_d1.q_k,
         "j_d1": report.j_d1,
+        "j_d1_mean": report.j_d1.midpoint,
         "a": report.a_est,
         "b_prime": report.b_prime,
         "b_dprime": report.b_dprime,
         "b": report.b_est,
+        "ranks_consumed": report.ranks_consumed,
+        "ladder": defect.rows,
     }
-    if not subject.complete:
-        row["ranks_consumed"] = report.ranks_consumed
+    if subject.complete and metrics:
+        row.update(error_metrics(profile, report)._asdict())
+    return row
+
+
+def cmd_estimate(args) -> int:
+    profile = _load(args.file, args.format)
+    subject = profile if args.blind is None else truncate_head(profile, args.blind)
+    # a ladder needs no error metrics, which a flat core (e = 0 at row 0) lacks
+    row = _estimate_row(profile, subject, profile.name, metrics=not args.ladder)
+    if args.ladder:
+        rows = [_pick(ladder_row._asdict(), _LADDER) for ladder_row in row["ladder"]]
+        _emit_table(rows, args.precision, sys.stdout)
     else:
-        metrics = error_metrics(profile, report)
-        row["cap_delta_a"] = metrics.cap_delta_a
-        row["cap_delta_b"] = metrics.cap_delta_b
-        row["delta_a"] = metrics.delta_a
-        row["delta_b"] = metrics.delta_b
-    style = "json" if args.json else "plain"
-    _emit_row(row, style, args.precision, sys.stdout)
+        columns = _ESTIMATE_FULL if subject.complete else _ESTIMATE_BLIND
+        _emit_row(_pick(row, columns), "json" if args.json else "plain", args.precision, sys.stdout)
     return 0
 
 
@@ -214,62 +245,6 @@ def _load_fixture_profiles(directory: str, names):
     if missing:
         raise MissingFixtures(", ".join(sorted(missing)))
     return {n: _load(paths[n], "csv") for n in names}
-
-
-def _table1_row(name, profile):
-    ci = compute_core_indices(profile)
-    v = interval_variants(ci)
-    return {
-        "researcher": name,
-        "n_p_plus": profile.n_p_plus,
-        "n_cit": profile.n_cit,
-        "h": ci.h,
-        "n_cit_h": ci.n_cit_h,
-        "h_na": h_na(profile.n_cit),
-        "q": ci.q,
-        "e": ci.e_index,
-        "i": v.i,
-        "i_mean": v.i_mean,
-        "iq": v.iq,
-        "iq_mean": v.iq_mean,
-        "r": ci.r_floor,
-        "ir": v.ir,
-        "ir_mean": v.ir_mean,
-        "q_prime": ci.q_prime,
-        "iq_prime": v.iq_prime,
-        "iq_prime_mean": v.iq_prime_mean,
-    }
-
-
-def _table2_row(name, profile):
-    defect = h_defect(profile)
-    report = estimate_report(profile, defect)
-    metrics = error_metrics(profile, report)
-    return {
-        "researcher": name,
-        "n_cit": profile.n_cit,
-        "h": defect.rows[0].h_k,
-        "case": defect.case_tag,
-        "d": defect.d,
-        "h_d": defect.row_d.h_k,
-        "n_h_d": defect.row_d.n_h_k,
-        "e_d": defect.row_d.e_k,
-        "q_d": defect.row_d.q_k,
-        "j_d": report.j_d,
-        "j_d_mean": report.j_d.midpoint,
-        "h_d1": defect.row_d1.h_k,
-        "e_d1": defect.row_d1.e_k,
-        "q_d1": defect.row_d1.q_k,
-        "j_d1": report.j_d1,
-        "j_d1_mean": report.j_d1.midpoint,
-        "a": report.a_est,
-        "b_prime": report.b_prime,
-        "b_dprime": report.b_dprime,
-        "b": report.b_est,
-        "cap_delta_a": metrics.cap_delta_a,
-        "cap_delta_b": metrics.cap_delta_b,
-        "delta_b": metrics.delta_b,
-    }
 
 
 def _table8_rows():
@@ -323,8 +298,10 @@ def cmd_table(args) -> int:
             raise MissingFixtures("fixture directory required (--fixtures DIR)")
         # a table's rows are the researchers it has published cells for
         profiles = _load_fixture_profiles(args.fixtures, refdata.PUBLISHED_CELLS[args.table])
-        builder = _table1_row if args.table == "1" else _table2_row
-        rows = [builder(name, profile) for name, profile in profiles.items()]
+        if args.table == "1":
+            rows = [_pick(_indices_row(p, name), _TABLE1) for name, p in profiles.items()]
+        else:
+            rows = [_pick(_estimate_row(p, p, name), _TABLE2) for name, p in profiles.items()]
     _emit_table(rows, args.precision, sys.stdout)
     if args.diff and not _diff_report(args.table, rows, sys.stdout):
         return EXIT_DIFF
@@ -390,17 +367,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_idx = sub.add_parser("indices", parents=[common, source],
                            help="core index family for one profile")
-    p_idx.add_argument("--json", action="store_true")
-    p_idx.add_argument("--csv", action="store_true")
+    style = p_idx.add_mutually_exclusive_group()
+    style.add_argument("--json", action="store_true")
+    style.add_argument("--csv", action="store_true")
     p_idx.set_defaults(func=cmd_indices)
 
     p_est = sub.add_parser("estimate", parents=[common, source],
                            help="total-citation estimate from the h-core")
     p_est.add_argument("--blind", type=_integer(), default=None, metavar="K",
                        help="use only the top K ranks")
-    p_est.add_argument("--ladder", action="store_true",
+    style = p_est.add_mutually_exclusive_group()
+    style.add_argument("--ladder", action="store_true",
                        help="emit the shifted-index ladder rows 0..d+1 as CSV")
-    p_est.add_argument("--json", action="store_true")
+    style.add_argument("--json", action="store_true")
     p_est.set_defaults(func=cmd_estimate)
 
     p_part = sub.add_parser("partition", parents=[common],
@@ -423,22 +402,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NegativeCitation, NegativeArgument, RankOutOfRange,
-            OSError, UnicodeDecodeError) as exc:
-        print(f"citest: bad input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except MissingFixtures as exc:
-        print(f"citest: missing fixtures: {exc}", file=sys.stderr)
-        return EXIT_FIXTURES
-    except (EmptyCore, DegenerateCore) as exc:
-        print(f"citest: degenerate profile: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except InsufficientTail as exc:
-        print(f"citest: insufficient prefix: {exc}", file=sys.stderr)
-        return EXIT_TAIL
-    except ResourceLimit as exc:
-        print(f"citest: resource ceiling: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    except tuple(_FAILURES) as exc:
+        code, label = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
+        print(f"citest: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -344,9 +344,43 @@ def test_estimate_blind_matches_full():
     assert blind["ranks_consumed"] == 47
 
 
-def test_estimate_blind_too_short_exits_4():
-    code, _ = run("estimate", f"{FIXTURES}/garfield.csv", "--blind", "10")
-    assert code == 4
+def test_estimate_blind_too_short_exits_4(capsys):
+    assert run("estimate", f"{FIXTURES}/garfield.csv", "--blind", "10") == (4, "")
+    assert capsys.readouterr().err == (
+        "citest: insufficient prefix: prefix of 10 ranks is insufficient to certify"
+        " the h-index at shift 0; rank 11 (at minimum) is required\n"
+    )
+
+
+def test_estimate_ladder_on_a_flat_core_skips_the_error_metrics(tmp_path, capsys):
+    # e = 0 at row 0: the ladder and A, B compute; the error metrics do not
+    path = tmp_path / "flat.txt"
+    path.write_text("3\n3\n3\n")
+    assert run("estimate", str(path), "--ladder") == (0, (
+        "k,h_k,n_h_k,n_cit_k,e_k,q_k\r\n"
+        "0,3,9,9,0,1\r\n"
+        "1,2,6,6,1.41421,2\r\n"
+        "2,1,3,3,1.41421,5\r\n"
+    ))
+    assert capsys.readouterr().err == ""
+    assert run("estimate", str(path)) == (3, "")
+    assert capsys.readouterr().err == (
+        "citest: degenerate profile: e = 0: every core entry equals h, the intervals collapse\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["indices", "--json", "--csv"],
+    ["estimate", "--ladder", "--json"],
+], ids=["indices_json_csv", "estimate_ladder_json"])
+def test_alternative_output_flags_are_a_usage_error(capsys, argv):
+    command, first, second = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"{FIXTURES}/garfield.csv", first, second])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument {second}: not allowed with argument {first}\n")
 
 
 def test_partition_count_100():

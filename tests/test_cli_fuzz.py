@@ -1,8 +1,9 @@
 """Fuzz the CLI's error contract in process.
 
 Every run of ``main(argv)`` returns an exit code in 0..6 and lets no exception
-escape; a run that fails (exit 2..6) prints exactly one ``citest: `` line on
-stderr and a run that succeeds prints nothing there.  Inputs are random bytes
+escape; a run that fails (exit 2..6) prints exactly one
+``citest: <label>: <message>`` line on stderr, the label fixed by the code,
+and a run that succeeds prints nothing there.  Inputs are random bytes
 and lines/CSV/JSON skeletons whose values include byte-order marks, non-ASCII
 digits and counts beyond float range, read under every ``--format``.
 """
@@ -25,6 +26,14 @@ NUMBERS = st.one_of(
     ]),
 )
 JUNK = st.sampled_from(["1.5", "1e400", "x", "", " 7 "])
+# the documented stderr label of each failing exit code
+LABELS = {
+    2: "bad input",
+    3: "degenerate profile",
+    4: "insufficient prefix",
+    5: "resource ceiling",
+    6: "missing fixtures",
+}
 
 
 @st.composite
@@ -72,7 +81,7 @@ def _check(argv):
     assert code in range(7)
     lines = err.getvalue().splitlines()
     if code >= 2:
-        assert len(lines) == 1 and lines[0].startswith("citest: "), lines
+        assert len(lines) == 1 and lines[0].startswith(f"citest: {LABELS[code]}: "), lines
     elif code == 0:
         assert lines == []
 

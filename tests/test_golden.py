@@ -51,12 +51,15 @@ def _cases() -> list[dict]:
             ("estimate_blind", ["estimate", path, "--blind", str(BLIND_K[name])]),
         ):
             cases.append({"id": f"{name}.{tag}", "argv": argv})
-    # a blind ladder leaves every n_cit_k empty
-    cases.append({
-        "id": "garfield.estimate_blind_ladder",
-        "argv": ["estimate", "{fixtures}/garfield.csv", "--blind", "47", "--ladder",
-                 "--precision", "3"],
-    })
+    # a blind ladder leaves every n_cit_k empty; a blind JSON row carries
+    # ranks_consumed, and a prefix holding the whole profile prints the errors
+    garfield = "{fixtures}/garfield.csv"
+    for tag, argv in (
+        ("estimate_blind_ladder", ["--blind", "47", "--ladder", "--precision", "3"]),
+        ("estimate_blind_json", ["--blind", "47", "--json"]),
+        ("estimate_blind_full", ["--blind", "106"]),
+    ):
+        cases.append({"id": f"garfield.{tag}", "argv": ["estimate", garfield, *argv]})
     for table in ("1", "2", "5", "8"):
         argv = ["table", table, "--fixtures", "{fixtures}", "--diff"]
         cases.append({"id": f"table{table}_diff", "argv": argv})
