@@ -1,12 +1,15 @@
 """Citation-profile data model, validation, and ingestion.
 
 A profile is a non-increasing sequence of non-negative integer citation
-counts.  Loaders and ``normalize`` accept unsorted input; where a profile's
-size allows, they tally its distinct counts and sort only those, else they
-sort every entry.  Zero entries are kept
-(they contribute to ``p`` but to no index).  A profile whose ``complete``
-flag is false is a rank prefix for blind estimation: the tail of the profile
-is unknown.
+counts.  Loaders and ``normalize`` accept unsorted input, and one rule
+(``_tally``) serves every format: where at most one entry in 4 is distinct
+(for ``lines`` and ``csv``, one line in 4), only the distinct ones are read
+and sorted; else every entry is, and a text format is read row by row.  So
+is a text stream that cannot seek, in either format.  A csv is counted as
+it streams, since counting its whole text would cost memory.  Zero entries
+are kept (they contribute to ``p`` but to no index).  A profile whose
+``complete`` flag is false is a rank prefix for blind estimation: the tail
+of the profile is unknown.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable
 from functools import cached_property
 from itertools import chain, repeat
-from math import isqrt
 from operator import add, itemgetter
 
 from .errors import NegativeCitation, ParseError, RankOutOfRange, quoted, shown
@@ -75,19 +77,15 @@ def _profile(entries: list, name: str = "") -> CitationProfile:
     # Counter would merge True and 1.0 into the key 1.
     if not set(map(type, entries)) <= {int}:
         _name_bad_entry(entries)
-    if _tally_pays(entries):
-        counts = Counter(entries)
-        if min(counts) < 0:
-            _name_bad_entry(entries)
-        profile = _expanded(counts, name)
-    else:
-        # a sorted copy, so that the input order still names a negative's position
-        ordered = sorted(entries, reverse=True)
-        if ordered and ordered[-1] < 0:
-            _name_bad_entry(entries)
-        fits = not ordered or ordered[0] <= MAX_CITATIONS
-        profile = CitationProfile(citations=tuple(ordered), name=name) if fits else None
+    # Input in order, either way, sorts in linear time, and a sample without a
+    # repeat foretells a refused tally; about 32 evenly spaced entries tell.
+    sample = entries[:: len(entries) // 32 or 1]
+    ordered = sorted(sample)
+    sort_whole = sample == ordered or sample[::-1] == ordered or len(set(sample)) == len(sample)
+    counts = None if sort_whole else _tally(entries)
+    profile = _ranked(entries if counts is None else counts, name, counts)
     if profile is None:
+        _name_bad_entry(entries)
         raise ParseError(None, f"citation count above the maximum of {MAX_CITATIONS}")
     return profile
 
@@ -101,38 +99,33 @@ def _name_bad_entry(entries: list) -> None:
             raise NegativeCitation(i, value)
 
 
-def _tally_pays(entries: list[int]) -> bool:
-    """Whether counting these integers beats sorting them.
+def _tally(items: Iterable) -> Counter | None:
+    """Count ``items`` in C, or ``None`` where more than one item in 4 is distinct.
 
-    A profile is a partition of its total, so it holds at most
-    isqrt(2 total) + 1 distinct counts; a tally pays when that is at most
-    p/8.  Input already in order, either way, sorts in linear time; about 32
-    evenly spaced entries tell, and such input pays not even the sum.
+    Below that share, reading and sorting only the distinct items beats
+    reading and sorting them all; above it, the count is wasted.
     """
-    sample = entries[:: len(entries) // 32 or 1]
-    ordered = sorted(sample)
-    if sample == ordered or sample[::-1] == ordered:
-        return False
-    total = sum(entries)
-    return total >= 0 and 8 * (isqrt(2 * total) + 1) <= len(entries)
+    counts = Counter(items)
+    return counts if 4 * len(counts) <= counts.total() else None
 
 
-def _expanded(counts: dict[int, int], name: str) -> CitationProfile | None:
-    """The profile holding each key of ``counts`` that many times.
+def _ranked(values: Iterable[int], name: str, times: dict[int, int] | None = None) -> CitationProfile | None:
+    """The profile of ``values`` sorted, each repeated ``times[value]`` times if given.
 
-    Only the keys are sorted.  ``None`` if a key is above ``MAX_CITATIONS``.
+    ``None`` if a value is outside 0..``MAX_CITATIONS``.
     """
-    order = sorted(counts, reverse=True)
-    if order and order[0] > MAX_CITATIONS:
+    order = sorted(values, reverse=True)
+    if order and not (order[-1] >= 0 and order[0] <= MAX_CITATIONS):
         return None
-    expanded = chain.from_iterable(map(repeat, order, map(counts.__getitem__, order)))
-    return CitationProfile(citations=tuple(expanded), name=name)
+    if times is not None:
+        order = chain.from_iterable(map(repeat, order, map(times.__getitem__, order)))
+    return CitationProfile(citations=tuple(order), name=name)
 
 
 _TOO_LARGE = "citation count too large"
 
 
-def _count(line: int, text: str) -> int:
+def _count(line: int | None, text: str) -> int:
     """Read one stripped, non-empty value, or raise.
 
     A value is ASCII digits; a leading ``-`` is read too, so that normalizing
@@ -150,51 +143,30 @@ def _count(line: int, text: str) -> int:
 def _tallied(pairs: Iterable[tuple[int, str]], name: str = "") -> CitationProfile | None:
     """The profile of these ``(times, text)`` pairs, or ``None`` if in doubt.
 
-    A profile is a partition of N_cit, so it has at most sqrt(2 N_cit) + 1
-    distinct counts: only those are stripped, checked, read and sorted, each
-    text standing for ``times`` entries.  ``None`` (a bad text, a count past
-    ``int()``'s limit or ``MAX_CITATIONS``) sends the input to the
-    line-by-line scan, which words the error.
+    Each text stands for ``times`` entries and is read once.  ``None`` (a bad
+    or negative count, or one past ``int()``'s limit or ``MAX_CITATIONS``)
+    leaves the input to the per-row scan, which words the error.
     """
     counts: dict[int, int] = {}
-    for times, text in pairs:
-        text = text.strip()
-        if text:
-            if not (text.isdigit() and text.isascii()):  # _count's grammar, without a call per text
-                return None
-            try:
-                value = int(text)
-            except ValueError:  # int()'s digit limit
-                return None
-            counts[value] = counts.get(value, 0) + times  # '007' and '7' are one value
-    return _expanded(counts, name)
-
-
-def _load_lines(first: str, rest: io.TextIOBase) -> CitationProfile:
-    lines = (first + rest.read()).split("\n")
-    tally = Counter(lines)
-    return _tallied(zip(tally.values(), tally)) or _profile(
-        [_count(lineno, text) for lineno, line in enumerate(lines, start=1) if (text := line.strip())]
-    )
-
-
-def _load_csv(first: str, rest: io.TextIOBase) -> CitationProfile:
-    # The tally reads the text once; anything it is unsure of goes back to
-    # where it started for the per-row scan, so it takes only a stream that
-    # can tell its place.
     try:
-        start = rest.tell() if rest.seekable() else None
-    except OSError:  # a text file iterated with next() cannot tell
-        start = None
-    if start is not None:
-        try:
-            profile = _csv_tally(first, rest)
-        except (csv.Error, UnicodeDecodeError):  # the scan words these at their line
-            profile = None
-        if profile:
-            return profile
-        rest.seek(start)
-    return _csv_scan(first, rest)
+        for times, text in pairs:
+            if text := text.strip():
+                value = _count(None, text)
+                counts[value] = counts.get(value, 0) + times  # '007' and '7' are one value
+    except ParseError:
+        return None
+    return _ranked(counts, name, counts)
+
+
+def _lines_tally(first: str, rest: io.TextIOBase) -> CitationProfile | None:
+    # split from the whole text: counting the lines as they stream loads slower
+    lines = _tally((first + rest.read()).split("\n"))
+    return None if lines is None else _tallied(zip(lines.values(), lines))
+
+
+def _lines_scan(first: str, rest: io.TextIOBase) -> CitationProfile:
+    lines = enumerate((first + rest.read()).split("\n"), start=1)
+    return _profile([_count(lineno, text) for lineno, line in lines if (text := line.strip())])
 
 
 def _uncommented(lines: Iterable[str]) -> Iterable[str]:
@@ -232,15 +204,17 @@ def _csv_head(first: str, rest: io.TextIOBase):
 
 
 def _csv_tally(first: str, rest: io.TextIOBase) -> CitationProfile | None:
-    # ``None`` leaves the input to the per-row scan
     _, _, at, meta, name = _csv_head(first, rest)
-    # The lines below the name row are counted whole, and each distinct line
-    # is parsed once.  That is the scan's reading only while every distinct
-    # line is one row: ``line_num`` counts the lines the reader took, so a
-    # quoted field that runs onto a later line shows as a surplus, and the
-    # sentinel makes a quote left open on the last line take one more.
-    # The counts lead the zip, so no row is asked for past the last line.
-    lines = Counter(rest)
+    # The lines below the name row are counted as they stream (their whole
+    # text would cost memory), and each distinct line is parsed once.  That
+    # is the scan's reading only while every distinct line is one row:
+    # ``line_num`` counts the lines the reader took, so a quoted field that
+    # runs onto a later line shows as a surplus, and the sentinel makes a
+    # quote left open on the last line take one more.  The counts lead the
+    # zip, so no row is asked for past the last line.
+    lines = _tally(rest)
+    if lines is None:
+        return None
     reader = csv.reader(chain(_uncommented(lines), ("\n",)))
     pad = [""] * (at + 1)  # a short row or a blank line reads as an empty cell
     cells = map(itemgetter(at), map(add, reader, repeat(pad)))
@@ -285,12 +259,28 @@ def load_profile(stream: io.TextIOBase, format: str) -> CitationProfile:
 
     A UTF-8 byte-order mark at the start of the stream is skipped.
     """
-    loaders = {"lines": _load_lines, "csv": _load_csv, "json": _load_json}
-    if format not in loaders:
-        raise ValueError(f"unknown format {quoted(format)}; expected one of {sorted(loaders)}")
-    # only the first line is read ahead; csv streams the rest, the others read it whole
+    formats = ["csv", "json", "lines"]
+    if format not in formats:
+        raise ValueError(f"unknown format {quoted(format)}; expected one of {formats}")
     first = stream.readline().removeprefix("\ufeff")
-    return loaders[format](first, stream)
+    if format == "json":
+        return _load_json(first, stream)
+    tally, scan = (_csv_tally, _csv_scan) if format == "csv" else (_lines_tally, _lines_scan)
+    # Anything the tally refuses or is unsure of goes back to where it
+    # started for the scan, so it takes only a stream that can tell its place.
+    try:
+        start = stream.tell() if stream.seekable() else None
+    except OSError:  # a text file iterated with next() cannot tell
+        start = None
+    if start is not None:
+        try:
+            profile = tally(first, stream)
+        except (csv.Error, UnicodeDecodeError):  # the scan words these at their line
+            profile = None
+        if profile is not None:
+            return profile
+        stream.seek(start)
+    return scan(first, stream)
 
 
 def truncate_head(profile: CitationProfile, m: int) -> CitationProfile:

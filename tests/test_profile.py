@@ -1,4 +1,3 @@
-import collections
 import csv
 import io
 import json
@@ -379,15 +378,15 @@ def test_normalize_matches_per_entry_validation(raw):
 
 @st.composite
 def _duplicate_heavy(draw):
-    """40-300 entries from 0..5 whose total keeps the partition bound at p/8
-    or below, so they are tallied, with a few bad entries at drawn positions.
+    """40-300 entries, mostly zeros, from 0..5 with a few bad entries at drawn
+    positions: at most 8 distinct values, so one entry in 4 or fewer is
+    distinct, and all but those in order are tallied.
 
     A bool or float equals an int a Counter already holds: ``True`` and
     ``1.0`` go after a ``1``, ``False`` after a ``0``.
     """
     p = draw(st.integers(40, 300))
-    budget = ((p // 8) ** 2 - 1) // 2  # the largest total with 8 (isqrt(2 total) + 1) <= p
-    small = draw(st.lists(st.integers(0, 5), min_size=budget // 10, max_size=budget // 5))
+    small = draw(st.lists(st.integers(0, 5), min_size=p // 40, max_size=p // 2))
     raw = draw(st.permutations(small + [0] * (p - len(small))))
     for _ in range(draw(st.integers(0, 2))):
         bad = draw(st.sampled_from([True, 1.0, False, -1, MAX_CITATIONS + 1]))
@@ -405,8 +404,11 @@ def test_tally_matches_per_entry_validation(raw):
 
 
 # ------------------------------------------------------------ tally = per-row scan
-# A seekable CSV stream is read as a tally of its distinct counts; a stream
-# that cannot seek goes straight to the per-row scan, which is the reference.
+# One rule counts every format: a tally is kept where one entry in 4 or fewer
+# is distinct (a line, for lines and csv), else every entry is read.  A text
+# stream that cannot seek, in either text format, goes straight to the per-row
+# scan, which is the reference.  csv is counted as it streams, and lines from
+# their whole text: counting a csv's whole text costs memory.
 
 class _Unseekable(io.StringIO):
     def seekable(self):
@@ -456,15 +458,72 @@ def test_load_csv_tally_matches_per_row_scan(text):
     assert _loaded(io.StringIO(text), "csv") == _loaded(_Unseekable(text), "csv")
 
 
-@pytest.mark.parametrize("text, citations", [
-    ('citations,note\n1,m\n5,a"\n6,"b\n5,a"\n', (6, 5, 1)),
-    ('citations,note\n5,x\n6,"b\n5,x"\n', (6, 5)),
-    ('citations,note\n1,m\n5\n6,"b\n5\n', (6, 5, 1)),
+@pytest.mark.parametrize("head, rows, citations", [
+    ('citations,note\n1,m\n', '5,a"\n6,"b\n5,a"\n', (6, 5, 1)),
+    ('citations,note\n5,x\n', '6,"b\n5,x"\n', (6, 5)),
+    ('citations,note\n1,m\n', '5\n6,"b\n5\n', (6, 5, 1)),
 ], ids=["closed_by_a_repeated_line", "closed_on_the_last_line", "open_at_the_end"])
-def test_load_csv_quote_across_lines_is_read_row_by_row(text, citations):
-    # a distinct line parsed alone would count '5,a"' or '5' twice
+def test_load_csv_quote_across_lines_is_read_row_by_row(head, rows, citations):
+    # Blank lines below the name row let the tally's rule pass; a distinct
+    # line parsed alone would then count '5,a"' or '5' twice.
+    text = head + "\n" * 12 + rows
     assert _loaded(io.StringIO(text), "csv") == (citations, "")
     assert _loaded(_Unseekable(text), "csv") == (citations, "")
+
+
+@st.composite
+def _repeated_lines(draw):
+    """Lines and text as ``_file_lines`` draws them, but from a pool of at most
+    7 texts, with at least 4 lines for each distinct one, so that both text
+    formats take the tally.
+
+    The pool may hold an odd line and, for csv, a line that opens a quote and
+    one that closes it.  The first line is a count, so a csv with this text
+    below its header has it as its name row, and at most ``len(pool) + 2``
+    distinct lines are counted either way.
+    """
+    count = st.integers(0, 10**6).map(str)
+    pool = draw(st.lists(count | st.just(""), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        pool.append(draw(st.sampled_from(["", " "])) + draw(CLEAN | ODD))
+    if draw(st.booleans()):
+        pool += [draw(OPEN_QUOTE), draw(st.sampled_from(['a"', '5,a"']))]
+    size = 4 * (len(pool) + 2)
+    lines = [draw(count)] + draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size + 20))
+    if draw(st.booleans()):
+        lines = [line + "\r" for line in lines]
+    return lines, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _scanned(fmt, text):
+    """The outcome of loading ``text``, and whether the per-row scan ran."""
+    scans = []
+
+    def recorded(scan):
+        def run(first, rest):
+            scans.append(scan)
+            return scan(first, rest)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_lines_scan", "_csv_scan"):
+            mp.setattr(citest.profile, name, recorded(getattr(citest.profile, name)))
+        return _outcome(load_profile, io.StringIO(text), fmt), bool(scans)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeated_lines())
+def test_text_tally_matches_per_line_reading(drawn):
+    lines, text = drawn
+    for fmt, header, first_line in [("lines", "", 1), ("csv", "citations\n", 2)]:
+        got, scanned = _scanned(fmt, header + text)
+        assert _outcome(load_profile, _Unseekable(header + text), fmt) == got
+        if fmt == "csv" and '"' in text:
+            continue  # a quoted field may span lines: the scan is the reference
+        expected = _outcome(_reference_load, lines, first_line)
+        assert got == expected
+        # the tally reads all it can; the scan runs only to word an error
+        assert scanned == (expected[:1] in [(ParseError,), (NegativeCitation,)])
 
 
 def _heavy_tail():
@@ -487,7 +546,8 @@ def _no_scan(monkeypatch):
     def scan(first, rest):
         raise AssertionError("the per-row scan ran")
 
-    monkeypatch.setattr(citest.profile, "_csv_scan", scan)
+    for name in ("_lines_scan", "_csv_scan"):
+        monkeypatch.setattr(citest.profile, name, scan)
 
 
 @pytest.mark.parametrize("quote", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["plain", "all_quoted"])
@@ -499,60 +559,91 @@ def test_load_csv_tally_takes_a_long_export(monkeypatch, quote):
     assert _loaded(io.StringIO(text), "csv") == expected
 
 
-def _counted(monkeypatch):
-    """Record the size of every list the loaders count with a ``Counter``."""
-    sizes = []
+def _kept(monkeypatch):
+    """Record, for each call of the counting rule, whether it kept its tally."""
+    kept = []
+    tally = citest.profile._tally
 
-    def counter(values):
-        sizes.append(len(values))
-        return collections.Counter(values)
+    def recorded(items):
+        counts = tally(items)
+        kept.append(counts is not None)
+        return counts
 
-    monkeypatch.setattr(citest.profile, "Counter", counter)
-    return sizes
+    monkeypatch.setattr(citest.profile, "_tally", recorded)
+    return kept
 
 
-@pytest.mark.parametrize("raw, tallied", [
-    (random.Random(7).sample(_heavy_tail(), 50000), True),
-    (sorted(_heavy_tail(), reverse=True), False),
-    (_heavy_tail(), False),
-    (random.Random(7).sample(range(10**9), 50000), False),
-], ids=["heavy_tail_shuffled", "heavy_tail_in_order", "heavy_tail_rising", "all_distinct"])
-def test_load_json_tallies_only_where_it_pays(monkeypatch, raw, tallied):
-    # a shuffled heavy tail has a few hundred distinct counts; input in order
-    # sorts in linear time, and 5x10^4 distinct counts up to 10^9 are far
-    # past the partition bound
-    text = json.dumps({"name": "Long", "citations": raw})
-    sizes = _counted(monkeypatch)
-    assert _loaded(io.StringIO(text), "json") == (tuple(sorted(raw, reverse=True)), "Long")
-    assert sizes == ([len(raw)] if tallied else [])
+def _rendered(fmt, raw):
+    if fmt == "json":
+        return json.dumps({"name": "Long", "citations": raw})
+    if fmt == "csv":
+        return "name,citations\nLong," + "\n,".join(map(str, raw)) + "\n"
+    return "\n".join(map(str, raw)) + "\n"
+
+
+SHUFFLED = random.Random(7).sample(_heavy_tail(), 50000)
+ALL_DISTINCT = random.Random(7).sample(range(10**9), 50000)
+
+
+@pytest.mark.parametrize("fmt, raw, kept", [
+    ("lines", SHUFFLED, [True]),
+    ("csv", SHUFFLED, [True]),
+    ("json", SHUFFLED, [True]),
+    ("lines", ALL_DISTINCT, [False]),
+    ("csv", ALL_DISTINCT, [False]),
+    ("json", ALL_DISTINCT, []),
+    ("json", sorted(_heavy_tail(), reverse=True), []),
+    ("json", _heavy_tail(), []),
+], ids=["lines-heavy_tail_shuffled", "csv-heavy_tail_shuffled", "json-heavy_tail_shuffled",
+        "lines-all_distinct", "csv-all_distinct", "json-all_distinct",
+        "json-heavy_tail_in_order", "json-heavy_tail_rising"])
+def test_load_tallies_only_where_it_pays(monkeypatch, fmt, raw, kept):
+    # a shuffled heavy tail has a few hundred distinct counts in 5x10^4, and
+    # all-distinct input none repeated; an int sample in order sorts in
+    # linear time, and one without a repeat foretells a refused tally, so
+    # neither builds a Counter
+    calls = _kept(monkeypatch)
+    expected = (tuple(sorted(raw, reverse=True)), "" if fmt == "lines" else "Long")
+    assert _loaded(io.StringIO(_rendered(fmt, raw)), fmt) == expected
+    assert calls == kept
 
 
 @pytest.mark.parametrize("text, citations", [
-    ("007\n7\n", (7, 7)),
-    (" 5 \n\t7\r\n  \n3\t\n", (7, 5, 3)),
+    ("007\n7\n" * 8, (7,) * 16),
+    (" 5 \n\t7\r\n  \n3\t\n" * 8, (7,) * 8 + (5,) * 8 + (3,) * 8),
 ], ids=["leading_zeros", "padded"])
-def test_load_lines_tally_merges_equal_values(text, citations):
+def test_load_lines_tally_merges_equal_values(monkeypatch, text, citations):
+    # repeated 8 times, so that one line in 4 or fewer is distinct
     lines = text.split("\n")
-    assert _loaded(io.StringIO(text), "lines") == (citations, "")
     assert _reference_load(lines, 1) == citations
+    _no_scan(monkeypatch)
+    assert _loaded(io.StringIO(text), "lines") == (citations, "")
 
 
 def test_load_csv_from_a_text_file_read_with_next(tmp_path):
-    path = tmp_path / "p.csv"
-    path.write_text("skip\ncitations\n5\n3\n", encoding="utf-8")
-    with open(path, encoding="utf-8") as fh:
-        next(fh)  # the file can no longer tell() its place
-        assert load_profile(fh, "csv").citations == (5, 3)
+    # the lines repeat, so the same text from a stream that can seek is tallied
+    profile = ((5,) * 4 + (3,) * 4, "")
+    for fmt, header, bad_line in [("csv", "citations\n", 10), ("lines", "", 9)]:
+        error = (ParseError, bad_line, f"line {bad_line}: expected a decimal integer, got 'x'")
+        for text, expected in [(header + "5\n3\n" * 4, profile), (header + "5\n3\n" * 4 + "x\n", error)]:
+            path = tmp_path / "p.txt"
+            path.write_text("skip\n" + text, encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                next(fh)  # the file can no longer tell() its place
+                assert _loaded(fh, fmt) == _loaded(io.StringIO(text), fmt) == expected
 
 
 def test_load_csv_tally_reads_comments_above_the_header(monkeypatch):
     _no_scan(monkeypatch)
-    text = "# provenance\n  # second note\nname,citations\nX,5\n,3\n\n,007\n"
+    # the blank lines make 3 distinct lines of 12 below the name row
+    text = "# provenance\n  # second note\nname,citations\nX,5\n,3\n" + "\n" * 10 + ",007\n"
     assert _loaded(io.StringIO(text), "csv") == ((7, 5, 3), "X")
 
 
 def test_load_csv_tally_reads_comments_below_the_header(monkeypatch):
-    text = "name,citations\n# between header and name row\nX,5\n,3\n  # among the rows, 12\n,3\n#,9\n,007\n"
+    # the repeated comments make 4 distinct lines of 17 below the name row
+    text = ("name,citations\n# between header and name row\nX,5\n,3\n" + "  # among the rows, 12\n" * 7
+            + ",3\n" + "#,9\n" * 7 + ",007\n")
     expected = _loaded(_Unseekable(text), "csv")
     assert expected == ((7, 5, 3, 3), "X")
     _no_scan(monkeypatch)
