@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 
@@ -107,6 +106,8 @@ def _emit_table(rows, precision, out) -> None:
 
 def _emit_row(row: dict, style: str, precision: int, out) -> None:
     if style == "json":
+        import json  # imported here: no other output style needs it
+
         serializable = {
             k: (v if isinstance(v, (int, str, type(None))) else
                 ([round(x, 10) for x in v] if isinstance(v, tuple) else round(v, 10)))
@@ -310,10 +311,32 @@ def cmd_table(args) -> int:
 
 # ------------------------------------------------------------- driver
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter at the width ``shutil.get_terminal_size``
+    gives, minus 2, as argparse's own; it reads that width without importing
+    ``shutil``, which argparse does for every parser it builds."""
+
+    def __init__(self, prog):
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):  # no stdout, or not a terminal
+                columns = 0
+        super().__init__(prog, width=(columns or 80) - 2)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse, whose messages name a raw argument past 20 characters by its
-    size (``a 100000-character argument``) instead of echoing it; the
-    subparsers that ``add_subparsers`` makes are of this class too."""
+    size (``a 100000-character argument``) instead of echoing it, and whose
+    help is sized by ``_Formatter``; the subparsers that ``add_subparsers``
+    makes are of this class too."""
+
+    def __init__(self, *args, formatter_class=_Formatter, **kwargs):
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
         self.raw_args = sys.argv[1:] if args is None else list(args)
@@ -356,11 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="citest",
         description="citation indices, total-citation estimators, partition statistics",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     # 17 significant digits identify every double
     common.add_argument("--precision", type=_integer(0, 17), default=6,
                         help="significant digits for real-valued output")
-    source = argparse.ArgumentParser(add_help=False)
+    source = _Parser(add_help=False)
     source.add_argument("file")
     source.add_argument("--format", choices=("json", "csv", "lines"))
     sub = parser.add_subparsers(dest="command", required=True)

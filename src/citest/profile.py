@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import Counter, namedtuple
 from collections.abc import Iterable
 from functools import cached_property
@@ -234,6 +233,8 @@ def _csv_scan(first: str, rest: io.TextIOBase) -> CitationProfile:
 
 
 def _load_json(first: str, rest: io.TextIOBase) -> CitationProfile:
+    import json  # imported here: no other format needs it
+
     try:
         # one-line JSON leaves ``rest`` empty, and adding "" copies nothing
         payload = json.loads(first + rest.read())

@@ -7,15 +7,26 @@ to keep behaviour has to pass this unchanged.  The blind cases use the
 smallest prefix K that certifies each fixture's estimate, recorded in the
 case's argv.
 
+The help cases pin the stdout of ``citest --help`` and of each subcommand's
+``--help``, and the stderr of one usage error, at the width argparse takes
+from ``COLUMNS`` or the terminal: 80 when neither gives one (``<id>.out`` or
+``<id>.err``) and 50 (``<id>.cols50.out`` or ``.err``).  From Python 3.13 on
+argparse wraps a usage line differently, so a ``.py313`` file, where
+present, holds that version's bytes.
+
 Run ``PYTHONPATH=src python tests/test_golden.py`` to capture the outputs
 again; do so only when an output is meant to change, and review the diff.
+Capture on Python 3.12 or older first; a capture on 3.13 then writes a
+``.py313`` file only where its bytes differ.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from contextlib import redirect_stdout
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -99,6 +110,66 @@ def test_golden_covers_every_fixture():
     assert set(BLIND_K) == {path.stem for path in FIXTURES.glob("*.csv")}
 
 
+# (id, argv, stream): stdout of each --help, stderr of a missing argument
+HELP_CASES = [
+    ("help.citest", ["--help"], ".out"),
+    ("help.indices", ["indices", "--help"], ".out"),
+    ("help.estimate", ["estimate", "--help"], ".out"),
+    ("help.partition", ["partition", "--help"], ".out"),
+    ("help.table", ["table", "--help"], ".out"),
+    ("usage.estimate", ["estimate"], ".err"),
+]
+
+# (COLUMNS, terminal columns or None for no terminal, golden suffix): COLUMNS
+# wins when it is a positive integer, then a terminal's nonzero width, then 80
+WIDTHS = [
+    (None, None, ""), ("0", None, ""), ("x", None, ""), ("-3", None, ""),
+    ("50", None, ".cols50"), (" 50", None, ".cols50"), ("50", 120, ".cols50"),
+    (None, 50, ".cols50"), ("0", 50, ".cols50"), (None, 0, ""),
+]
+
+
+def _usage(argv: list[str]) -> tuple[int, bytes]:
+    """Exit code, and the bytes written: stdout for --help, stderr otherwise."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(argv)
+    if "--help" in argv:
+        assert err.getvalue() == ""
+        return exit_.value.code, out.getvalue().encode("utf-8")
+    assert out.getvalue() == ""
+    return exit_.value.code, err.getvalue().encode("utf-8")
+
+
+def _help_golden(name: str) -> Path:
+    if sys.version_info >= (3, 13):
+        stem, _, ext = name.rpartition(".")
+        newer = GOLDEN / f"{stem}.py313.{ext}"
+        if newer.exists():
+            return newer
+    return GOLDEN / name
+
+
+@pytest.mark.parametrize("columns, terminal, suffix", WIDTHS,
+                         ids=[f"COLUMNS={c!r},tty={t}" for c, t, _ in WIDTHS])
+@pytest.mark.parametrize("case_id, argv, stream", HELP_CASES, ids=[c[0] for c in HELP_CASES])
+def test_help_output(monkeypatch, case_id, argv, stream, columns, terminal, suffix):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+    def get_terminal_size(fd=None):
+        if terminal is None:
+            raise OSError("not a terminal")
+        return os.terminal_size((terminal, 24))
+
+    monkeypatch.setattr(os, "get_terminal_size", get_terminal_size)
+    code, data = _usage(argv)
+    assert code == (0 if stream == ".out" else 2)
+    assert data == _help_golden(f"{case_id}{suffix}{stream}").read_bytes()
+
+
 def capture() -> None:
     GOLDEN.mkdir(exist_ok=True)
     cases = []
@@ -108,6 +179,14 @@ def capture() -> None:
         cases.append({**case, "exit": code})
     lines = ",\n".join(json.dumps(case) for case in cases)
     CASES.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    for case_id, argv, stream in HELP_CASES:
+        for suffix, columns in (("", "80"), (".cols50", "50")):
+            os.environ["COLUMNS"] = columns
+            path = GOLDEN / f"{case_id}{suffix}{stream}"
+            data = _usage(argv)[1]
+            if sys.version_info >= (3, 13) and path.read_bytes() != data:
+                path = GOLDEN / f"{case_id}{suffix}.py313{stream}"
+            path.write_bytes(data)
 
 
 if __name__ == "__main__":

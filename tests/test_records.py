@@ -64,13 +64,20 @@ def test_record_refuses_assignment(kind):
 def test_cli_import_leaves_heavy_modules_out():
     heavy = ["dataclasses", "typing", "pathlib", "inspect", "datetime", "fractions", "decimal",
              "threading"]
+    # argparse's own help formatter imports shutil (and with it bz2, lzma,
+    # zlib and fnmatch) to read the terminal width; only JSON needs json
+    startup = ["shutil", "bz2", "lzma", "zlib", "fnmatch", "json"]
     report = "print(*sorted(set(sys.argv[1:]) & set(sys.modules)), file=sys.stderr)"
-    # after the import alone, and after ``partition count``, which must not
-    # reach the Fraction moments of count_by_durfee
-    for run in ("", "main(['partition', 'count', '100']); "):
-        code = f"import sys; from citest.cli import main; {run}{report}"
+    garfield = str(SRC.parent / "tests" / "fixtures" / "garfield.csv")
+    # after the import alone; after ``partition count``, which must not reach
+    # the Fraction moments of count_by_durfee; after a plain and a csv
+    # command; and after --help
+    for run in ("", "main(['partition', 'count', '100'])", f"main(['estimate', {garfield!r}])",
+                f"main(['indices', {garfield!r}, '--csv'])",
+                "try: main(['--help'])\nexcept SystemExit: pass"):
+        code = f"import sys; from citest.cli import main\n{run}\n{report}"
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", code, *heavy],
+            [sys.executable, "-S", "-c", code, *heavy, *startup],
             env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True, text=True, check=True,
         )
