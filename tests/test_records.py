@@ -62,18 +62,21 @@ def test_record_refuses_assignment(kind):
 
 
 def test_cli_import_leaves_heavy_modules_out():
+    # refdata parses its published tables with str.split, not ast or json
     heavy = ["dataclasses", "typing", "pathlib", "inspect", "datetime", "fractions", "decimal",
-             "threading"]
+             "threading", "ast"]
     # argparse's own help formatter imports shutil (and with it bz2, lzma,
     # zlib and fnmatch) to read the terminal width; only JSON needs json
     startup = ["shutil", "bz2", "lzma", "zlib", "fnmatch", "json"]
     report = "print(*sorted(set(sys.argv[1:]) & set(sys.modules)), file=sys.stderr)"
-    garfield = str(SRC.parent / "tests" / "fixtures" / "garfield.csv")
+    fixtures = str(SRC.parent / "tests" / "fixtures")
+    garfield = os.path.join(fixtures, "garfield.csv")
     # after the import alone; after ``partition count``, which must not reach
     # the Fraction moments of count_by_durfee; after a plain and a csv
-    # command; and after --help
+    # command; after a table diff, which reads refdata's cells; and after --help
     for run in ("", "main(['partition', 'count', '100'])", f"main(['estimate', {garfield!r}])",
                 f"main(['indices', {garfield!r}, '--csv'])",
+                f"main(['table', '2', '--fixtures', {fixtures!r}, '--diff'])",
                 "try: main(['--help'])\nexcept SystemExit: pass"):
         code = f"import sys; from citest.cli import main\n{run}\n{report}"
         proc = subprocess.run(
