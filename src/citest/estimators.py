@@ -50,7 +50,7 @@ def h_na(n_cit: int | float) -> float:
 
 def _scaled_interval(center: float, ratio: float) -> Interval:
     base = INV_COEFF * center
-    return Interval((base * (1.0 - ratio)) ** 2, (base * (1.0 + ratio)) ** 2)
+    return tuple.__new__(Interval, ((base * (1.0 - ratio)) ** 2, (base * (1.0 + ratio)) ** 2))
 
 
 def interval_I(h_val: int, q_val: float, e_val: float) -> Interval:
@@ -250,42 +250,27 @@ def estimate_report(
     if defect is None:
         defect = h_defect(profile)
     row_d, row_d1 = _require_rows(defect)
-    i_d = interval_I(row_d.h_k, row_d.q_k, row_d.e_k)
-    i_d1 = interval_I(row_d1.h_k, row_d1.q_k, row_d1.e_k)
-    head_d = _head_sum(profile, defect.d)
-    head_d1 = _head_sum(profile, defect.d + 1)
-    j_d = i_d.shift(head_d)
-    j_d1 = i_d1.shift(head_d1)
-    a_prime = (i_d.midpoint + i_d1.midpoint) / 2.0
-    a_est = (j_d.midpoint + j_d1.midpoint) / 2.0
-    b_prime, b_dprime, b_est, weights = _estimate_B(defect.case_tag, row_d, row_d1, j_d, j_d1)
+    d, tag, new = defect.d, defect.case_tag, tuple.__new__
+    lo_d, hi_d = i_d = interval_I(row_d.h_k, row_d.q_k, row_d.e_k)
+    lo_d1, hi_d1 = i_d1 = interval_I(row_d1.h_k, row_d1.q_k, row_d1.e_k)
+    head_d = sum(profile.citations[:d])
+    head_d1 = head_d + profile.citations[d]
+    j_d = new(Interval, (lo_d + head_d, hi_d + head_d))
+    j_d1 = new(Interval, (lo_d1 + head_d1, hi_d1 + head_d1))
+    # each midpoint taken as Interval.midpoint takes it: (lo + hi) / 2.0
+    a_prime = ((lo_d + hi_d) / 2.0 + (lo_d1 + hi_d1) / 2.0) / 2.0
+    a_est = ((j_d.lo + j_d.hi) / 2.0 + (j_d1.lo + j_d1.hi) / 2.0) / 2.0
+    b_prime, b_dprime, b_est, weights = _estimate_B(tag, row_d, row_d1, j_d, j_d1)
 
     # row 0's tail total is the whole profile's total, known only when complete
     total = defect.rows[0].n_cit_k
     na = h_na(total) if total is not None else None
     na_d = h_na(row_d.n_cit_k) if row_d.n_cit_k is not None else None
     na_d1 = h_na(row_d1.n_cit_k) if row_d1.n_cit_k is not None else None
-
-    return EstimateReport(
-        d=defect.d,
-        case_tag=defect.case_tag,
-        h_na=na,
-        h_na_d=na_d,
-        h_na_d1=na_d1,
-        i_d=i_d,
-        i_d1=i_d1,
-        j_d=j_d,
-        j_d1=j_d1,
-        a_prime=a_prime,
-        a_est=a_est,
-        weights=weights,
-        b_prime=b_prime,
-        b_dprime=b_dprime,
-        b_est=b_est,
-        head_sum_d=head_d,
-        head_sum_d1=head_d1,
-        ranks_consumed=defect.ranks_consumed,
-    )
+    return new(EstimateReport, (
+        d, tag, na, na_d, na_d1, i_d, i_d1, j_d, j_d1, a_prime, a_est, weights,
+        b_prime, b_dprime, b_est, head_d, head_d1, defect.ranks_consumed,
+    ))
 
 
 def brown_interval(n_cit: int | float) -> Interval:

@@ -19,15 +19,20 @@ from .profile import CitationProfile
 def suffix_h(entries: tuple[int, ...] | list[int], shift: int, complete: bool = True) -> int:
     """h-index of the suffix starting after rank ``shift`` (0 = whole profile).
 
-    For an incomplete prefix the result is only returned when it is certified:
-    either a failing rank was observed inside the window, or the last known
-    value bounds every later entry below the next candidate.
+    ``entries`` must be non-increasing: the result is found by bisection for
+    the largest m with ``entries[shift + m - 1] >= m``.  For an incomplete
+    prefix the result is only returned when it is certified: either a failing
+    rank was observed inside the window, or the last known value bounds
+    every later entry below the next candidate.
     """
     n = len(entries)
-    m = 1
-    while shift + m <= n and entries[shift + m - 1] >= m:
-        m += 1
-    v = m - 1
+    v, hi = 0, n - shift  # the h-index lies in v..hi
+    while v < hi:
+        m = (v + hi + 1) // 2
+        if entries[shift + m - 1] >= m:
+            v = m
+        else:
+            hi = m - 1
     if not complete and shift + v >= n:
         # window exhausted without seeing a failing rank
         if n == 0 or entries[-1] > v:

@@ -49,7 +49,8 @@ class Partition(namedtuple("Partition", "parts")):
 
 def durfee_size(part: Partition | tuple[int, ...] | list[int]) -> int:
     """Side of the largest square in the diagram: max i with part_i >= i,
-    which is the h-index of the parts read as a citation profile."""
+    which is the h-index of the parts read as a citation profile.  The parts
+    must be non-increasing, as a ``Partition``'s are."""
     return suffix_h(part.parts if isinstance(part, Partition) else tuple(part), 0)
 
 

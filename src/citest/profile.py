@@ -288,8 +288,5 @@ def truncate_head(profile: CitationProfile, m: int) -> CitationProfile:
     """Return the first ``m`` ranks of ``profile`` as a blind-estimation head."""
     if m < 0 or m > profile.p:
         raise RankOutOfRange(f"{shown('m', m)} outside 0..{profile.p}")
-    return CitationProfile(
-        citations=profile.citations[:m],
-        name=profile.name,
-        complete=profile.complete and m == profile.p,
-    )
+    complete = profile.complete and m == profile.p
+    return tuple.__new__(CitationProfile, (profile.citations[:m], profile.name, complete))

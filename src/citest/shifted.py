@@ -8,20 +8,20 @@ removed.  Rows are produced by the constant-work recurrences
 
 and always agree with direct recomputation from the suffix (the oracle the
 test suite enforces).  The stay/drop indicator delta_k comes from one read of
-rank h_k+k+1 per row.  The defect d is the removal depth at which the excess
-e_k first crosses the shifted index h_k; the crossing direction fixes the
-case tag consumed by the estimator module.  The last scanned row's
-delta_k is never used, so a scan certifies from ranks up to
-min(p, h_k+k+1) of the row before it (of row 0 when only row 0 is scanned):
-the smallest certifying prefix, reported as ``ranks_consumed``.
+rank h_k+k+1 per row.  One plain loop builds the rows for both callers:
+``shifted_ladder`` runs it to a given k, ``h_defect`` until the scan ends.
+The defect d is the removal depth at which the excess e_k first crosses the
+shifted index h_k; the crossing direction fixes the case tag consumed by the
+estimator module.  The last scanned row's delta_k is never used, so a scan
+certifies from ranks up to min(p, h_k+k+1) of the row before it (of row 0
+when only row 0 is scanned): the smallest certifying prefix, reported as
+``ranks_consumed``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator
-from itertools import islice
 
 from .errors import EmptyCore, IndexUnderflow, InsufficientTail, RankOutOfRange, shown
 from .indices import suffix_h
@@ -96,40 +96,62 @@ def _step(h_k: int, n_h_k: int, delta_k: int, cit_next: int) -> tuple[int, int]:
     return h_k - 1, n_h_k - cit_next
 
 
-def _walk(profile: CitationProfile) -> Iterator[ShiftedRow]:
-    """Ladder rows 0, 1, 2, ... by the recurrences.
+def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
+    """Ladder rows 0..k_max by the recurrences, or the defect scan's rows.
 
-    Each row reads rank h_k+k+1 once for its ``delta_k``.  Where a prefix
-    cannot certify it, the row carries ``None`` and asking for the next row
+    With ``k_max=None`` the rows run until the first one whose e/h side flips
+    against row 0's (ties count with row 0's side), else to the last cited
+    rank.  Each row reads rank h_k+k+1 once for its ``delta_k``.  Where a
+    prefix cannot certify it, the row carries ``None`` and the next row
     raises ``InsufficientTail``.
     """
     citations = profile.citations
     known = len(citations)
-    h_k = suffix_h(citations, 0, profile.complete)
+    complete = profile.complete
+    h_k = suffix_h(citations, 0, complete)
     if h_k == 0:
         raise EmptyCore("h = 0: the shifted ladder is undefined")
     n_h_k = sum(citations[:h_k])
-    n_cit_k = profile.n_cit if profile.complete else None
+    n_cit_k = profile.n_cit if complete else None
+    # row-0 side, on exact integers: e_0 >= h_0  <=>  N_h >= 2 h^2
+    above = n_h_k >= 2 * h_k * h_k
+    scan = k_max is None
+    if scan:
+        # rows whose suffix has no cited entries have e_k = h_k = 0 and can
+        # never cross, so the k <= h scan bound is clamped at the last cited
+        # rank.  The h_0 top entries are cited, so that rank is h_0 exactly
+        # when rank h_0+1 is uncited: a zero (which bounds everything after
+        # it, even in a prefix) or past the end of a complete profile.
+        k_max = h_k - 1 if (citations[h_k] == 0 if h_k < known else complete) else h_k
+    rows: list[ShiftedRow] = []
+    new, sqrt = tuple.__new__, math.sqrt
     k = 0
     while True:
         if h_k <= 0:
             raise IndexUnderflow(f"suffix at shift {k} has no cited entries")
+        hsq = h_k * h_k
+        ex = n_h_k - hsq
         rank = h_k + k + 1
-        delta_k: int | None
         if rank <= known:
             delta_k = 1 if citations[rank - 1] == h_k else 0
-        elif profile.complete or citations[-1] < h_k:
+        elif complete or citations[-1] < h_k:
             delta_k = 0  # every later entry is below h_k
         else:
             delta_k = None
-        e_k = math.sqrt(n_h_k - h_k * h_k)
-        q_k = 2.0 * n_h_k / (h_k * h_k) - 1.0
-        yield ShiftedRow(k, h_k, n_h_k, e_k, q_k, n_cit_k, delta_k)
+        q_k = 2.0 * n_h_k / hsq - 1.0
+        rows.append(new(ShiftedRow, (k, h_k, n_h_k, sqrt(ex), q_k, n_cit_k, delta_k)))
+        if k == k_max or scan and ((ex < hsq) if above else (ex > hsq)):
+            return rows
         if delta_k is None:
             raise InsufficientTail(known, rank, what=f"the value at rank {rank}")
+        # on a stay the boundary entry, equal to h_k, re-enters the core (as in _step)
         cit_next = citations[k]
-        h_k, n_h_k = _step(h_k, n_h_k, delta_k, cit_next)
-        if n_cit_k is not None:
+        if delta_k:
+            n_h_k += h_k - cit_next
+        else:
+            h_k -= 1
+            n_h_k -= cit_next
+        if complete:
             n_cit_k -= cit_next
         k += 1
 
@@ -138,7 +160,7 @@ def shifted_ladder(profile: CitationProfile, k_max: int) -> list[ShiftedRow]:
     """Rows 0..k_max via the recurrences; each equals direct recomputation."""
     if k_max < 0 or k_max > profile.p - 1:
         raise RankOutOfRange(f"{shown('k_max', k_max)} outside 0..{profile.p - 1}")
-    return list(islice(_walk(profile), k_max + 1))
+    return _ladder(profile, k_max)
 
 
 def _excess_sq(row: ShiftedRow) -> int:
@@ -162,50 +184,31 @@ def h_defect(profile: CitationProfile) -> DefectAnalysis:
     certify the scan.
     """
     entries = profile.citations
-    walk = _walk(profile)
-    rows = [next(walk)]
-    h0 = rows[0].h_k
-    # row-0 side, on exact integers: e_0 >= h_0  <=>  N_h >= 2 h^2
-    above = _excess_sq(rows[0]) >= h0 * h0
-    d: int | None = None
-
-    # rows whose suffix has no cited entries have e_k = h_k = 0 and can never
-    # cross, so the k <= h scan bound is clamped at the last cited rank.  The
-    # h0 top entries are cited, so that rank is h0 exactly when rank h0+1 is
-    # uncited: a zero (which bounds everything after it, even in a prefix) or
-    # past the end of a complete profile.
-    uncited_next = entries[h0] == 0 if h0 < len(entries) else profile.complete
-    k_last = h0 - 1 if uncited_next else h0
-    for row in islice(walk, k_last):
-        rows.append(row)
-        ex, hsq = _excess_sq(row), row.h_k * row.h_k
-        crossed = (ex < hsq) if above else (ex > hsq)
-        if crossed:
-            d = row.k - 1
-            break
-
-    if d is None:
-        d = 0
-        ex0 = _excess_sq(rows[0])
-        if above:
-            tag = "case1a" if ex0 > (h0 + 1) ** 2 else "case1b"
-        else:
-            tag = "case3a" if ex0 >= (h0 - 1) ** 2 else "case3b"
+    rows = _ladder(profile, None)
+    row0, last = rows[0], rows[-1]
+    h0, ex0, ex, hsq = row0.h_k, _excess_sq(row0), _excess_sq(last), last.h_k * last.h_k
+    above = ex0 >= h0 * h0
+    # the scan ends on the crossing row, else at its bound with no crossing
+    if (ex < hsq) if above else (ex > hsq):
+        d = last.k - 1
+        tag = _refine_case2(rows[d], last) if above else "case4"
+    elif above:
+        d, tag = 0, "case1a" if ex0 > (h0 + 1) ** 2 else "case1b"
     else:
-        tag = _refine_case2(rows[d], rows[d + 1]) if above else "case4"
+        d, tag = 0, "case3a" if ex0 >= (h0 - 1) ** 2 else "case3b"
 
     h_d = rows[d].h_k
     # h_{k+1} >= h_k - 1, so h_k + k never decreases along the ladder.  The
     # last scanned row's delta_k builds no row, so the highest rank needed is
     # h_k + k + 1 of the row before it
-    last = rows[-2] if len(rows) > 1 else rows[0]
+    before = rows[-2] if len(rows) > 1 else row0
     return DefectAnalysis(
         d=d,
         case_tag=tag,
         defect_core=entries[:d],
         an_domain=entries[d : d + h_d],
         rows=tuple(rows[: d + 2]),
-        ranks_consumed=min(profile.p, last.h_k + last.k + 1),
+        ranks_consumed=min(profile.p, before.h_k + before.k + 1),
     )
 
 

@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 
 from citest import (
+    CitationProfile,
+    EstimateReport,
+    InsufficientTail,
+    Interval,
     Partition,
+    ShiftedRow,
     compute_core_indices,
     count_by_durfee,
     error_metrics,
@@ -18,9 +23,13 @@ from citest import (
     h_defect,
     interval_variants,
     normalize,
+    truncate_head,
 )
 
+from conftest import FIXTURES
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.csv"))
 
 
 def _records():
@@ -59,6 +68,31 @@ def test_record_refuses_assignment(kind):
         with pytest.raises(AttributeError):
             record.n_cit = 0
         assert record.n_cit == total == sum(record.citations)
+
+
+def _assert_full_arity(record, cls):
+    # tuple.__new__ builds these records without the namedtuple arity check
+    assert type(record) is cls and len(record) == len(cls._fields), (cls.__name__, record)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_blind_path_records_have_every_field(fixture_profile, name):
+    full = fixture_profile(name)
+    certified = estimate_report(full).ranks_consumed
+    for m in (full.p, certified):
+        head = truncate_head(full, m)
+        _assert_full_arity(head, CitationProfile)
+        defect = h_defect(head)
+        report = estimate_report(head, defect)
+        for row in defect.rows:
+            _assert_full_arity(row, ShiftedRow)
+        for interval in (report.i_d, report.i_d1, report.j_d, report.j_d1):
+            _assert_full_arity(interval, Interval)
+        _assert_full_arity(report, EstimateReport)
+    short = truncate_head(full, certified - 1)
+    _assert_full_arity(short, CitationProfile)
+    with pytest.raises(InsufficientTail):
+        estimate_report(short)
 
 
 def test_cli_import_leaves_heavy_modules_out():

@@ -126,6 +126,19 @@ def test_excess_step_signs(values):
             assert b.e_k > a.e_k - 1e-12
 
 
+@given(profiles(min_size=1, max_size=50))
+@settings(max_examples=150)
+def test_ladder_agrees_with_defect_scan(values):
+    # shifted_ladder and h_defect build their rows with one loop; rows 0..k
+    # of the scan (k <= d+1) are the ladder up to k, on the profile and on
+    # the prefix the scan certifies from
+    p = normalize(list(values))
+    for profile in (p, truncate_head(p, h_defect(p).ranks_consumed)):
+        defect = h_defect(profile)
+        for k in range(len(defect.rows)):
+            assert shifted_ladder(profile, k) == list(defect.rows[: k + 1])
+
+
 def test_ladder_out_of_range():
     p = normalize([9, 7, 5])
     with pytest.raises(RankOutOfRange, match="k_max=3 outside 0..2"):
