@@ -21,14 +21,12 @@ from .profile import (
     normalize,
     truncate_head,
 )
-from .indices import CoreIndices, compute_core_indices, core_sum, g_index, h_index
+from .indices import CoreIndices, compute_core_indices, g_index, h_index
 from .shifted import (
     CASE_TAGS,
     DefectAnalysis,
     ShiftedRow,
-    check_transition,
     h_defect,
-    shifted_h,
     shifted_ladder,
 )
 from .estimators import (
@@ -39,14 +37,11 @@ from .estimators import (
     IntervalVariants,
     brown_interval,
     error_metrics,
-    estimate_A_quick,
     estimate_report,
     h_na,
     interval_I,
     interval_J,
     interval_variants,
-    na_ratio_limit,
-    yong_interval,
 )
 from .partitions import (
     DurfeeDistribution,
@@ -56,7 +51,6 @@ from .partitions import (
     durfee_moment_estimates,
     durfee_size,
     enumerate_partitions,
-    hardy_ramanujan,
     partition_count,
 )
 

@@ -154,11 +154,10 @@ def cmd_indices(args) -> int:
 
 # ------------------------------------------------------------- estimate
 
-def _estimate_row(profile, subject, name, metrics: bool = True) -> dict:
+def _estimate_row(profile, subject, name) -> dict:
     """Every column of ``estimate`` and of tables 2 and 5 for ``subject``, the
     full ``profile`` or a rank prefix of it, with the ladder rows 0..d+1 under
-    ``ladder``; the error metrics too when ``subject`` is complete and
-    ``metrics`` is true."""
+    ``ladder``; the error metrics too when ``subject`` is complete."""
     defect = h_defect(subject)
     report = estimate_report(subject, defect)
     row_d, row_d1 = defect.row_d, defect.row_d1
@@ -186,7 +185,7 @@ def _estimate_row(profile, subject, name, metrics: bool = True) -> dict:
         "ranks_consumed": report.ranks_consumed,
         "ladder": defect.rows,
     }
-    if subject.complete and metrics:
+    if subject.complete:
         row.update(error_metrics(profile, report)._asdict())
     return row
 
@@ -194,8 +193,7 @@ def _estimate_row(profile, subject, name, metrics: bool = True) -> dict:
 def cmd_estimate(args) -> int:
     profile = _load(args.file, args.format)
     subject = profile if args.blind is None else truncate_head(profile, args.blind)
-    # a ladder needs no error metrics, which a flat core (e = 0 at row 0) lacks
-    row = _estimate_row(profile, subject, profile.name, metrics=not args.ladder)
+    row = _estimate_row(profile, subject, profile.name)
     if args.ladder:
         rows = [_pick(ladder_row._asdict(), _LADDER) for ladder_row in row["ladder"]]
         _emit_table(rows, args.precision, sys.stdout)

@@ -38,9 +38,6 @@ class Interval(namedtuple("Interval", "lo hi")):
     def __contains__(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 
-    def shift(self, offset: float) -> "Interval":
-        return Interval(self.lo + offset, self.hi + offset)
-
 
 def h_na(n_cit: int | float) -> float:
     """Normal approximation of the h-index: 0.5404446394667307 * sqrt(N_cit)."""
@@ -60,13 +57,11 @@ def interval_I(h_val: int, q_val: float, e_val: float) -> Interval:
     return _scaled_interval(h_val, q_val / e_val)
 
 
-def _head_sum(profile: CitationProfile, k: int) -> int:
-    return sum(profile.citations[:k])
-
-
 def interval_J(profile: CitationProfile, row: ShiftedRow) -> Interval:
     """I_k of ladder row k translated by the head sum cit_1 + ... + cit_k."""
-    return interval_I(row.h_k, row.q_k, row.e_k).shift(_head_sum(profile, row.k))
+    lo, hi = interval_I(row.h_k, row.q_k, row.e_k)
+    head = sum(profile.citations[: row.k])
+    return Interval(lo + head, hi + head)
 
 
 def _scaled_mean(center: float, ratio: float) -> float:
@@ -154,25 +149,6 @@ def _require_rows(defect: DefectAnalysis) -> tuple[ShiftedRow, ShiftedRow]:
     if len(defect.rows) < defect.d + 2:
         raise DegenerateCore("profile too short: no row beyond the defect depth")
     return defect.rows[defect.d], defect.rows[defect.d + 1]
-
-
-def estimate_A_quick(defect: DefectAnalysis, head: tuple[int, ...] | list[int]) -> float:
-    """Rule-of-thumb form of A for case-2 profiles.
-
-    ``head`` must hold at least cit_1..cit_{d+1}; only those ranks are used.
-    """
-    if not defect.case_tag.startswith("case2"):
-        raise WrongCase(f"quick A applies to case-2 profiles, not {defect.case_tag}")
-    row_d, row_d1 = _require_rows(defect)
-    if len(head) < defect.d + 1:
-        raise ValueError(f"head must hold at least {defect.d + 1} ranks")
-    head_d = sum(head[: defect.d])
-    return (
-        1.7118 * (row_d.h_k**2 + row_d1.h_k**2)
-        + 30.8134
-        + head_d
-        + head[defect.d] / 2.0
-    )
 
 
 def _weighted(lo: float, hi: float, weight_hi: float) -> float:
@@ -282,62 +258,28 @@ def brown_interval(n_cit: int | float) -> Interval:
     return Interval(center - half, center + half)
 
 
-def na_ratio_limit(d: int) -> float:
-    """Limit of h_NA/h for arithmetic-progression profiles with difference d."""
-    at_least("d", d, 1)
-    return DURFEE_MODE_COEFF * (d + 1) / math.sqrt(2.0 * d)
-
-
 def error_metrics(profile: CitationProfile, report: EstimateReport) -> ErrorMetrics:
-    """All published error measures; needs the true total, so full profiles only."""
+    """All published error measures; needs the true total, so full profiles only.
+
+    ``delta_1``..``delta_4`` are ``None`` for a flat core (e = 0: every core
+    entry equals h), whose interval variants collapse; the A/B errors and
+    ``delta_d`` come from ``report`` and are always given.
+    """
     if not profile.complete:
         raise GroundTruthUnavailable("error metrics need the full profile")
     n_cit = profile.n_cit
-    variants = interval_variants(compute_core_indices(profile))
+    indices = compute_core_indices(profile)
+    if indices.e_index > 0.0:
+        variants = interval_variants(indices)
+        means = (variants.i_mean, variants.iq_mean, variants.ir_mean, variants.iq_prime_mean)
+        deltas = [(mean - n_cit) / n_cit for mean in means]
+    else:
+        deltas = [None] * 4
     return ErrorMetrics(
-        delta_1=(variants.i_mean - n_cit) / n_cit,
-        delta_2=(variants.iq_mean - n_cit) / n_cit,
-        delta_3=(variants.ir_mean - n_cit) / n_cit,
-        delta_4=(variants.iq_prime_mean - n_cit) / n_cit,
+        *deltas,
         delta_d=(n_cit - report.j_d.midpoint) / n_cit,
         cap_delta_a=n_cit - report.a_est,
         cap_delta_b=n_cit - report.b_est,
         delta_a=(n_cit - report.a_est) / n_cit,
         delta_b=(n_cit - report.b_est) / n_cit,
     )
-
-
-# Published h-index bands for uniform random partitions of N_cit, keyed by
-# the N_cit grid they were tabulated on.  Shipped as a lookup, not recomputed.
-YONG_H_INTERVALS: dict[int, tuple[int, int]] = {
-    300: (7, 11),
-    500: (9, 14),
-    750: (11, 17),
-    1000: (13, 20),
-    1250: (15, 22),
-    1500: (17, 24),
-    2000: (20, 28),
-    2500: (22, 31),
-    3000: (25, 34),
-    3500: (27, 36),
-    4000: (29, 39),
-    4500: (31, 41),
-    5500: (35, 45),
-    6000: (36, 47),
-    6500: (37, 49),
-    7000: (39, 51),
-    7500: (40, 52),
-    8000: (42, 54),
-    10000: (47, 60),
-}
-
-
-def yong_interval(n_cit: int) -> Interval:
-    """Tabulated h-index band for ``n_cit`` on the published grid.
-
-    At the 12 grid points up to ``partitions.MAX_N`` each band holds 0.957
-    to 0.985 of the exact Durfee distribution (the h-index of a partition is
-    its Durfee side), as the tests check; the 7 points above 5000 are not
-    checked."""
-    lo, hi = YONG_H_INTERVALS[n_cit]
-    return Interval(float(lo), float(hi))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import EmptyCore, InsufficientTail, RankOutOfRange, shown
+from .errors import EmptyCore, InsufficientTail
 from .profile import CitationProfile
 
 
@@ -51,13 +51,6 @@ def h_index(profile: CitationProfile) -> int:
     return suffix_h(profile.citations, 0, profile.complete)
 
 
-def core_sum(profile: CitationProfile, s: int) -> int:
-    """Total citations up to rank ``s`` (N_cit(s)); core_sum(p, h) = N_cit(h)."""
-    if s < 1 or s > profile.p:
-        raise RankOutOfRange(f"rank {shown('s', s)} outside 1..{profile.p}")
-    return sum(profile.citations[:s])
-
-
 def g_index(profile: CitationProfile) -> int:
     """Largest k with the top-k citation sum >= k^2, searched over k <= p."""
     entries = profile.citations
@@ -81,7 +74,7 @@ def compute_core_indices(profile: CitationProfile) -> CoreIndices:
     if h == 0:
         raise EmptyCore("h = 0: A, R, e and q are undefined")
     g = g_index(profile)
-    n_cit_h = core_sum(profile, h)
+    n_cit_h = sum(profile.citations[:h])
     # floor argument kept integral: no float rounding may leak into r
     r_floor = (2 * n_cit_h) // (h * (h + 1)) - 1
     a_index = n_cit_h / h

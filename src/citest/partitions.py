@@ -138,8 +138,3 @@ def durfee_moment_estimates(n: int) -> tuple[float, float]:
     var_est = 0.081057 * root + 0.018459 - 0.018015 / root
     return mean_est, var_est
 
-
-def hardy_ramanujan(n: int) -> float:
-    """First-order asymptotic for p(n): exp(pi*sqrt(2n/3)) / (4n*sqrt(3))."""
-    at_least("n", n, 1)
-    return math.exp(math.pi * math.sqrt(2.0 * n / 3.0)) / (4.0 * n * math.sqrt(3.0))

@@ -79,23 +79,6 @@ class DefectAnalysis(
         return self.rows[self.d + 1]
 
 
-def shifted_h(profile: CitationProfile, k: int) -> int:
-    """h-index of the suffix cit_{k+1}..cit_p, computed directly."""
-    if k < 0 or k > profile.p - 1:
-        raise RankOutOfRange(f"shift {shown('k', k)} outside 0..{profile.p - 1}")
-    return suffix_h(profile.citations, k, profile.complete)
-
-
-def _step(h_k: int, n_h_k: int, delta_k: int, cit_next: int) -> tuple[int, int]:
-    """(h_{k+1}, N_h^{k+1}) from row k, removing cit_{k+1} = ``cit_next``."""
-    # on a stay the boundary entry, equal to h_k, re-enters the core.  h_k is
-    # reused rather than rebuilt as h_k - 1 + delta_k, which would allocate a
-    # new int per row once h exceeds the small-int cache.
-    if delta_k:
-        return h_k, n_h_k - cit_next + h_k
-    return h_k - 1, n_h_k - cit_next
-
-
 def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
     """Ladder rows 0..k_max by the recurrences, or the defect scan's rows.
 
@@ -144,7 +127,9 @@ def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
             return rows
         if delta_k is None:
             raise InsufficientTail(known, rank, what=f"the value at rank {rank}")
-        # on a stay the boundary entry, equal to h_k, re-enters the core (as in _step)
+        # on a stay the boundary entry, equal to h_k, re-enters the core.  h_k is
+        # reused rather than rebuilt as h_k - 1 + delta_k, which would allocate
+        # a new int per row once h exceeds the small-int cache
         cit_next = citations[k]
         if delta_k:
             n_h_k += h_k - cit_next
@@ -211,17 +196,3 @@ def h_defect(profile: CitationProfile) -> DefectAnalysis:
         ranks_consumed=min(profile.p, before.h_k + before.k + 1),
     )
 
-
-def check_transition(row_k: ShiftedRow, cit_next: int) -> str:
-    """Predicted relation of e_{k+1} to h_{k+1} from row k alone.
-
-    ``cit_next`` is cit_{k+1}, the entry about to be removed; the stay/drop
-    branch comes from ``row_k.delta_k``.  Returns ``"below"`` when the next
-    excess must fall under the next shifted index, else ``"at_or_above"``.
-    The threshold comparison is carried on exact integers.
-    """
-    if row_k.delta_k is None:
-        raise ValueError("row does not carry the stay/drop indicator delta_k")
-    next_h, next_n_h = _step(row_k.h_k, row_k.n_h_k, row_k.delta_k, cit_next)
-    next_e_sq = next_n_h - next_h * next_h
-    return "below" if next_e_sq < next_h * next_h else "at_or_above"

@@ -353,7 +353,8 @@ def test_estimate_blind_too_short_exits_4(capsys):
 
 
 def test_estimate_ladder_on_a_flat_core_skips_the_error_metrics(tmp_path, capsys):
-    # e = 0 at row 0: the ladder and A, B compute; the error metrics do not
+    # e = 0 at row 0: the ladder, A, B and their errors compute; only the
+    # interval-variant deltas, which estimate does not print, do not
     path = tmp_path / "flat.txt"
     path.write_text("3\n3\n3\n")
     assert run("estimate", str(path), "--ladder") == (0, (
@@ -363,10 +364,27 @@ def test_estimate_ladder_on_a_flat_core_skips_the_error_metrics(tmp_path, capsys
         "2,1,3,3,1.41421,5\r\n"
     ))
     assert capsys.readouterr().err == ""
-    assert run("estimate", str(path)) == (3, "")
-    assert capsys.readouterr().err == (
-        "citest: degenerate profile: e = 0: every core entry equals h, the intervals collapse\n"
-    )
+    assert run("estimate", str(path)) == (0, (
+        "name         \n"
+        "d            1\n"
+        "case         case4\n"
+        "h_d          2\n"
+        "e_d          1.41421\n"
+        "q_d          2\n"
+        "j_d          (5.34967, 82.8195)\n"
+        "j_d1         (28.0108, 76.4295)\n"
+        "a            48.1524\n"
+        "b_prime      50.7304\n"
+        "b_dprime     48.0665\n"
+        "b            49.3985\n"
+        "cap_delta_a  -39.1524\n"
+        "cap_delta_b  -40.3985\n"
+        "delta_a      -4.35026\n"
+        "delta_b      -4.48872\n"
+    ))
+    code, out = run("estimate", str(path), "--json")
+    assert (code, json.loads(out)["a"], json.loads(out)["b"]) == (0, 48.1523629674, 49.3984617138)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [

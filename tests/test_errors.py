@@ -18,17 +18,13 @@ from citest import (
     RankOutOfRange,
     ResourceLimit,
     brown_interval,
-    core_sum,
     count_by_durfee,
     durfee_mode_formula,
     durfee_moment_estimates,
     enumerate_partitions,
     h_na,
-    hardy_ramanujan,
-    na_ratio_limit,
     normalize,
     partition_count,
-    shifted_h,
     shifted_ladder,
     truncate_head,
 )
@@ -96,14 +92,8 @@ PROFILE = normalize([9, 7, 5, 2, 1])
     (lambda n: next(enumerate_partitions(n)), ResourceLimit),
     (lambda n: durfee_mode_formula(-n), NegativeArgument),
     (lambda n: durfee_moment_estimates(-n), NegativeArgument),
-    (lambda n: hardy_ramanujan(-n), NegativeArgument),
     (lambda n: h_na(-n), NegativeArgument),
     (lambda n: brown_interval(-n), NegativeArgument),
-    (lambda n: na_ratio_limit(-n), NegativeArgument),
-    (lambda n: core_sum(PROFILE, -n), RankOutOfRange),
-    (lambda n: core_sum(PROFILE, n), RankOutOfRange),
-    (lambda n: shifted_h(PROFILE, -n), RankOutOfRange),
-    (lambda n: shifted_h(PROFILE, n), RankOutOfRange),
     (lambda n: shifted_ladder(PROFILE, -n), RankOutOfRange),
     (lambda n: shifted_ladder(PROFILE, n), RankOutOfRange),
     (lambda n: truncate_head(PROFILE, -n), RankOutOfRange),

@@ -13,10 +13,8 @@ from citest import (
     WrongCase,
     brown_interval,
     compute_core_indices,
-    count_by_durfee,
     enumerate_partitions,
     error_metrics,
-    estimate_A_quick,
     estimate_report,
     h_defect,
     h_index,
@@ -24,15 +22,10 @@ from citest import (
     interval_I,
     interval_J,
     interval_variants,
-    na_ratio_limit,
     normalize,
     shifted_ladder,
     truncate_head,
-    yong_interval,
 )
-from citest.estimators import YONG_H_INTERVALS
-from citest.partitions import MAX_N
-from citest.shifted import DefectAnalysis, ShiftedRow
 
 from conftest import profiles, steep_profiles
 
@@ -164,39 +157,6 @@ def test_estimate_A_closed_form(values):
     assert abs(a_est - closed) <= 1e-9 * max(1.0, abs(closed))
 
 
-def _fake_case2(h_val):
-    row = ShiftedRow(k=0, h_k=h_val, n_h_k=2 * h_val * h_val + 1,
-                     e_k=math.sqrt(h_val * h_val + 1), q_k=3.0)
-    row1 = ShiftedRow(k=1, h_k=h_val, n_h_k=2 * h_val * h_val,
-                      e_k=float(h_val), q_k=3.0)
-    return DefectAnalysis(d=0, case_tag="case2b_2d", defect_core=(),
-                          an_domain=(), rows=(row, row1))
-
-
-def test_estimate_A_quick_plugin():
-    quick = estimate_A_quick(_fake_case2(3), [0])
-    assert abs(quick - 61.63) < 0.01
-
-
-def test_estimate_A_quick_short_head():
-    with pytest.raises(ValueError, match="at least 1 ranks"):
-        estimate_A_quick(_fake_case2(3), [])
-
-
-def test_estimate_A_quick_wrong_case(fixture_profile):
-    defect = h_defect(fixture_profile("white"))
-    with pytest.raises(WrongCase):
-        estimate_A_quick(defect, fixture_profile("white").citations)
-
-
-def test_estimate_A_quick_near_exact(fixture_profile):
-    for name, expected in (("garfield", 11410.0), ("schubert", 8423.0)):
-        p = fixture_profile(name)
-        defect = h_defect(p)
-        quick = estimate_A_quick(defect, p.citations)
-        assert abs(quick - expected) / expected < 0.05
-
-
 def test_estimate_B_garfield(fixture_profile):
     p = fixture_profile("garfield")
     report = estimate_report(p, h_defect(p))
@@ -319,12 +279,6 @@ def test_brown_interval_formula():
     assert (band.hi - band.lo) / 2 == pytest.approx(1.96 * (0.57 + 0.045 * root))
 
 
-def test_na_ratio_limit_values():
-    assert abs(na_ratio_limit(1) - 0.764) < 0.001
-    assert abs(na_ratio_limit(4) - 0.955) < 0.001
-    assert abs(na_ratio_limit(26) - 2.024) < 0.001
-
-
 def test_arithmetic_progressions_approach_limit():
     for diff in (4, 5, 6):
         k = 800
@@ -332,7 +286,8 @@ def test_arithmetic_progressions_approach_limit():
         values = [a + (k - i) * diff for i in range(1, k + 1)]
         p = normalize(values)
         ratio = h_na(p.n_cit) / h_index(p)
-        assert abs(ratio - na_ratio_limit(diff)) < 0.05
+        # the limit of h_NA/h for difference d: 0.5404446 (d+1) / sqrt(2d)
+        assert abs(ratio - 0.5404446 * (diff + 1) / math.sqrt(2 * diff)) < 0.05
 
 
 def test_error_metrics_garfield(fixture_profile):
@@ -371,6 +326,19 @@ def test_error_metrics_leydesdorff_delta1_signed(fixture_profile):
     assert round(metrics.delta_1, 3) == -0.144
 
 
+def test_error_metrics_flat_core_has_no_variant_deltas():
+    # e = 0: the interval variants collapse, while J_d, A and B exist
+    p = normalize([3, 3, 3])
+    report = estimate_report(p)
+    metrics = error_metrics(p, report)
+    assert metrics[:4] == (None,) * 4
+    assert metrics.cap_delta_a == 9 - report.a_est
+    assert metrics.cap_delta_b == 9 - report.b_est
+    assert metrics.delta_d == (9 - report.j_d.midpoint) / 9
+    with pytest.raises(DegenerateCore):
+        interval_variants(compute_core_indices(p))
+
+
 def test_error_metrics_requires_full_profile(fixture_profile):
     p = fixture_profile("garfield")
     report = estimate_report(p)
@@ -393,28 +361,6 @@ def test_estimate_report_unknown_case_tag():
     defect = h_defect(profile)._replace(case_tag="case9")
     with pytest.raises(WrongCase, match="unrecognized case tag 'case9'"):
         estimate_report(profile, defect)
-
-
-def test_yong_lookup():
-    band = yong_interval(10000)
-    assert (band.lo, band.hi) == (47.0, 60.0)
-    with pytest.raises(KeyError):
-        yong_interval(1234)
-
-
-def test_yong_bands_cover_the_exact_durfee_distribution():
-    # the h-index of a partition is its Durfee side, so each band's coverage
-    # of uniform random partitions of N is exact at every grid point <= MAX_N
-    coverage = {
-        300: 0.957, 500: 0.959, 750: 0.962, 1000: 0.981, 1250: 0.974, 1500: 0.972,
-        2000: 0.982, 2500: 0.984, 3000: 0.983, 3500: 0.974, 4000: 0.985, 4500: 0.981,
-    }
-    assert list(coverage) == [n for n in YONG_H_INTERVALS if n <= MAX_N]
-    for n, expected in coverage.items():
-        band = yong_interval(n)
-        dist = count_by_durfee(n)
-        inside = sum(c for side, c in dist.counts.items() if band.lo <= side <= band.hi)
-        assert round(inside / dist.total, 3) == expected, n
 
 
 def test_report_shifted_normal_approximations(fixture_profile):

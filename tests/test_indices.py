@@ -6,9 +6,7 @@ from hypothesis import given
 from citest import (
     EmptyCore,
     InsufficientTail,
-    RankOutOfRange,
     compute_core_indices,
-    core_sum,
     g_index,
     h_index,
     normalize,
@@ -43,25 +41,6 @@ def test_h_leydesdorff(fixture_profile):
 @given(profiles(min_size=0, nonzero_head=False))
 def test_h_matches_brute_force(values):
     assert h_index(normalize(list(values))) == brute_force_h(values)
-
-
-def test_core_sum_examples():
-    p = normalize([5, 4, 1])
-    assert core_sum(p, 1) == 5
-    assert core_sum(p, 3) == 10
-
-
-def test_core_sum_garfield(fixture_profile):
-    p = fixture_profile("garfield")
-    assert core_sum(p, h_index(p)) == 10509
-
-
-def test_core_sum_out_of_range():
-    p = normalize([5, 4, 1])
-    with pytest.raises(RankOutOfRange):
-        core_sum(p, 4)
-    with pytest.raises(RankOutOfRange):
-        core_sum(p, 0)
 
 
 def brute_force_g(values):

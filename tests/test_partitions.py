@@ -13,7 +13,6 @@ from citest import (
     durfee_moment_estimates,
     durfee_size,
     enumerate_partitions,
-    hardy_ramanujan,
     partition_count,
 )
 from citest.partitions import MAX_N
@@ -218,13 +217,6 @@ def test_log_concavity_central_range():
         central = ds[len(ds) // 4 : -max(1, len(ds) // 4)]
         for d in central[1:-1]:
             assert counts[d] * counts[d] >= counts[d - 1] * counts[d + 1]
-
-
-def test_hardy_ramanujan_ratio():
-    assert 1.0 < hardy_ramanujan(100) / partition_count(100) < 1.10
-    assert 1.0 < hardy_ramanujan(1000) / partition_count(1000) < 1.05
-    # smallest case recorded without a tolerance: asymptotics not binding
-    assert hardy_ramanujan(1) / partition_count(1) > 1.0
 
 
 def test_recurrence_vs_dp_digit_for_digit():

@@ -1,14 +1,18 @@
-"""Result records stay immutable, importing the CLI stays light, and every
-import and every module-level private name in the package is used."""
+"""Result records stay immutable, importing the CLI stays light, every
+import and every module-level private name in the package is used, and the
+README names exactly the public API."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import citest
 from citest import (
     CitationProfile,
     EstimateReport,
@@ -160,3 +164,32 @@ def test_every_private_name_is_used():
                            if isinstance(name, ast.Name))
     private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
     assert sorted(private - read) == []
+
+
+def _readme_section(title):
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_lists_the_public_api_and_its_example_runs():
+    section = _readme_section("Library sketch")
+    # the bullet list after the "API:" line
+    listed = re.findall(r"`(\w+)`", section.split("\nAPI:", 1)[1].split("\n\n")[1])
+    public = [name for name, value in vars(citest).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(listed) == sorted(public)
+    assert len(listed) == len(set(listed))
+
+    # run the example statement by statement, keeping each expression's value
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for node in ast.parse(code).body:
+        if isinstance(node, ast.Expr):
+            expression = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(code, node)] = eval(expression, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert values["ct.h_index(profile)"] == 4
+    assert values["head.complete"] is False
+    assert values["ct.estimate_report(head).b_est"] == namespace["report"].b_est
+    assert values["ct.partition_count(100)"] == 190569292

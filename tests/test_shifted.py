@@ -5,11 +5,9 @@ from citest import (
     IndexUnderflow,
     InsufficientTail,
     RankOutOfRange,
-    check_transition,
     h_defect,
     h_index,
     normalize,
-    shifted_h,
     shifted_ladder,
     truncate_head,
 )
@@ -26,30 +24,6 @@ def direct_row(values, k):
             h = m
     n_h = sum(suffix[:h])
     return h, n_h
-
-
-def test_shifted_h_zero_equals_h():
-    p = normalize([9, 7, 5, 2, 1])
-    assert shifted_h(p, 0) == h_index(p)
-
-
-def test_shifted_h_last_rank():
-    p = normalize([9, 7, 5, 2, 1])
-    assert shifted_h(p, p.p - 1) == 1
-
-
-def test_shifted_h_out_of_range():
-    p = normalize([9, 7])
-    with pytest.raises(RankOutOfRange):
-        shifted_h(p, 2)
-
-
-def test_shifted_h_einstein(fixture_profile):
-    assert shifted_h(fixture_profile("einstein"), 59) == 87
-
-
-def test_shifted_h_kim(fixture_profile):
-    assert shifted_h(fixture_profile("kim"), 14) == 332
 
 
 def test_ladder_small_example():
@@ -69,6 +43,14 @@ def test_ladder_garfield_row_25(fixture_profile):
     assert row.n_h_k == 901
     assert abs(row.e_k - 21.448) < 0.002
     assert abs(row.q_k - 3.086) < 0.002
+
+
+def test_ladder_einstein_row_59(fixture_profile):
+    assert shifted_ladder(fixture_profile("einstein"), 59)[59].h_k == 87
+
+
+def test_ladder_kim_row_14(fixture_profile):
+    assert shifted_ladder(fixture_profile("kim"), 14)[14].h_k == 332
 
 
 def test_ladder_leydesdorff_row_3(fixture_profile):
@@ -145,35 +127,6 @@ def test_ladder_out_of_range():
         shifted_ladder(p, p.p)
     with pytest.raises(RankOutOfRange, match="k_max=-1 outside 0..2"):
         shifted_ladder(p, -1)
-
-
-def test_check_transition_needs_delta():
-    # a 3-rank prefix (9, 7, 3) has h = 3 but cannot tell whether rank 4 is 3
-    (row,) = shifted_ladder(truncate_head(normalize([9, 7, 3, 3, 1]), 3), 0)
-    assert row.delta_k is None
-    with pytest.raises(ValueError, match="delta_k"):
-        check_transition(row, 9)
-
-
-def test_check_transition_garfield(fixture_profile):
-    p = fixture_profile("garfield")
-    rows = shifted_ladder(p, 26)
-    predicted = check_transition(rows[25], p.citations[25])
-    assert predicted == "below"
-    assert rows[26].e_k < rows[26].h_k
-
-
-@given(profiles(min_size=2, max_size=50))
-def test_check_transition_matches_direct(values):
-    p = normalize(list(values))
-    positive = sum(1 for v in values if v > 0)
-    if positive < 2:
-        return
-    rows = shifted_ladder(p, positive - 1)
-    for a, b in zip(rows, rows[1:]):
-        predicted = check_transition(a, p.citations[a.k])
-        actual = "below" if b.e_k < b.h_k else "at_or_above"
-        assert predicted == actual
 
 
 def test_defect_einstein(fixture_profile):
