@@ -81,6 +81,7 @@ def test_fraction_past_int_limit_is_named_by_its_type(call, error, message):
 
 
 PROFILE = normalize([9, 7, 5, 2, 1])
+EMPTY = normalize([])
 
 
 @pytest.mark.parametrize("call, error", [
@@ -98,6 +99,10 @@ PROFILE = normalize([9, 7, 5, 2, 1])
     (lambda n: shifted_ladder(PROFILE, n), RankOutOfRange),
     (lambda n: truncate_head(PROFILE, -n), RankOutOfRange),
     (lambda n: truncate_head(PROFILE, n), RankOutOfRange),
+    (lambda n: shifted_ladder(EMPTY, -n), RankOutOfRange),
+    (lambda n: shifted_ladder(EMPTY, n), RankOutOfRange),
+    (lambda n: truncate_head(EMPTY, -n), RankOutOfRange),
+    (lambda n: truncate_head(EMPTY, n), RankOutOfRange),
 ])
 def test_bounded_function_names_a_long_argument_by_its_size(call, error):
     with pytest.raises(error) as err:
