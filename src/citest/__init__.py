@@ -6,7 +6,6 @@ from .errors import (
     DegenerateCore,
     EmptyCore,
     GroundTruthUnavailable,
-    IndexUnderflow,
     InsufficientTail,
     NegativeArgument,
     NegativeCitation,
@@ -45,7 +44,6 @@ from .estimators import (
 )
 from .partitions import (
     DurfeeDistribution,
-    Partition,
     count_by_durfee,
     durfee_mode_formula,
     durfee_moment_estimates,

@@ -47,18 +47,13 @@ class InsufficientTail(CitestError):
     rank whose value could not be pinned down.
     """
 
-    def __init__(self, known_ranks: int, needed_rank: int, what: str = ""):
+    def __init__(self, known_ranks: int, needed_rank: int, what: str):
         self.known_ranks = known_ranks
         self.needed_rank = needed_rank
-        detail = f" to certify {what}" if what else ""
         super().__init__(
-            f"prefix of {known_ranks} ranks is insufficient{detail}; "
+            f"prefix of {known_ranks} ranks is insufficient to certify {what}; "
             f"rank {needed_rank} (at minimum) is required"
         )
-
-
-class IndexUnderflow(CitestError):
-    """A shifted-index row was requested for an empty or all-zero suffix."""
 
 
 class WrongCase(CitestError):

@@ -16,27 +16,27 @@ from .errors import EmptyCore, InsufficientTail
 from .profile import CitationProfile
 
 
-def suffix_h(entries: tuple[int, ...] | list[int], shift: int, complete: bool = True) -> int:
-    """h-index of the suffix starting after rank ``shift`` (0 = whole profile).
+def suffix_h(entries: tuple[int, ...] | list[int], complete: bool = True) -> int:
+    """h-index of ``entries``, which must be non-increasing.
 
-    ``entries`` must be non-increasing: the result is found by bisection for
-    the largest m with ``entries[shift + m - 1] >= m``.  For an incomplete
-    prefix the result is only returned when it is certified: either a failing
-    rank was observed inside the window, or the last known value bounds
-    every later entry below the next candidate.
+    The result is found by bisection for the largest m with
+    ``entries[m - 1] >= m``.  For an incomplete prefix the result is only
+    returned when it is certified: either a failing rank was observed inside
+    the window, or the last known value bounds every later entry below the
+    next candidate.
     """
     n = len(entries)
-    v, hi = 0, n - shift  # the h-index lies in v..hi
+    v, hi = 0, n  # the h-index lies in v..hi
     while v < hi:
         m = (v + hi + 1) // 2
-        if entries[shift + m - 1] >= m:
+        if entries[m - 1] >= m:
             v = m
         else:
             hi = m - 1
-    if not complete and shift + v >= n:
+    if not complete and v >= n:
         # window exhausted without seeing a failing rank
         if n == 0 or entries[-1] > v:
-            raise InsufficientTail(n, n + 1, what=f"the h-index at shift {shift}")
+            raise InsufficientTail(n, n + 1, what="the h-index at shift 0")
     return v
 
 
@@ -48,7 +48,7 @@ CoreIndices = namedtuple(
 
 def h_index(profile: CitationProfile) -> int:
     """Highest rank m with cit_m >= m, or 0 when no rank qualifies."""
-    return suffix_h(profile.citations, 0, profile.complete)
+    return suffix_h(profile.citations, profile.complete)
 
 
 def g_index(profile: CitationProfile) -> int:

@@ -30,28 +30,11 @@ def _bounded(n: int, ceiling: int) -> None:
         raise ResourceLimit(n, ceiling)
 
 
-class Partition(namedtuple("Partition", "parts")):
-    """A non-increasing sequence of positive integer parts."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts: tuple[int, ...]):
-        if any(p < 1 for p in parts):
-            raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError("parts must be non-increasing")
-        return super().__new__(cls, parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-
-def durfee_size(part: Partition | tuple[int, ...] | list[int]) -> int:
+def durfee_size(parts: tuple[int, ...] | list[int]) -> int:
     """Side of the largest square in the diagram: max i with part_i >= i,
     which is the h-index of the parts read as a citation profile.  The parts
-    must be non-increasing, as a ``Partition``'s are."""
-    return suffix_h(part.parts if isinstance(part, Partition) else tuple(part), 0)
+    must be non-increasing, as ``enumerate_partitions`` yields them."""
+    return suffix_h(parts)
 
 
 def _durfee_counts(n: int) -> dict[int, int]:
@@ -105,16 +88,16 @@ def count_by_durfee(n: int) -> DurfeeDistribution:
     )
 
 
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Every partition of n exactly once, parts descending, lexicographically.
+def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of n exactly once as a tuple, parts descending, lexicographically.
 
     Brute-force oracle, capped at ``ENUM_MAX_N`` because p(n) grows exponentially.
     """
     _bounded(n, ENUM_MAX_N)
 
-    def _descend(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
+    def _descend(remaining: int, cap: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            yield Partition(tuple(prefix))
+            yield tuple(prefix)
             return
         for part in range(min(cap, remaining), 0, -1):
             prefix.append(part)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import EmptyCore, IndexUnderflow, InsufficientTail, RankOutOfRange, shown
+from .errors import EmptyCore, InsufficientTail, RankOutOfRange, shown
 from .indices import suffix_h
 from .profile import CitationProfile
 
@@ -40,9 +40,7 @@ CASE_TAGS = (
 )
 
 
-class ShiftedRow(
-    namedtuple("ShiftedRow", "k h_k n_h_k e_k q_k n_cit_k delta_k", defaults=(None, None))
-):
+class ShiftedRow(namedtuple("ShiftedRow", "k h_k n_h_k e_k q_k n_cit_k delta_k")):
     """One ladder row: the shifted index of order k and its core statistics.
 
     ``n_cit_k`` (the tail total) and ``delta_k`` (the stay/drop indicator for
@@ -53,19 +51,12 @@ class ShiftedRow(
     __slots__ = ()
 
 
-class DefectAnalysis(
-    namedtuple(
-        "DefectAnalysis",
-        "d case_tag defect_core an_domain rows ranks_consumed",
-        defaults=(0,),
-    )
-):
+class DefectAnalysis(namedtuple("DefectAnalysis", "d case_tag rows ranks_consumed")):
     """Defect depth d, its case tag, and the ladder rows 0..d+1.
 
-    ``defect_core`` holds cit_1..cit_d (empty when d = 0); ``an_domain`` the
-    h_d entries that follow it.  ``ranks_consumed`` is the highest rank the
-    classification had to read: the shortest prefix that certifies it, which
-    blind estimation reports back.
+    ``ranks_consumed`` is the highest rank the classification had to read:
+    the shortest prefix that certifies it, which blind estimation reports
+    back.
     """
 
     __slots__ = ()
@@ -82,16 +73,17 @@ class DefectAnalysis(
 def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
     """Ladder rows 0..k_max by the recurrences, or the defect scan's rows.
 
-    With ``k_max=None`` the rows run until the first one whose e/h side flips
-    against row 0's (ties count with row 0's side), else to the last cited
-    rank.  Each row reads rank h_k+k+1 once for its ``delta_k``.  Where a
-    prefix cannot certify it, the row carries ``None`` and the next row
-    raises ``InsufficientTail``.
+    ``k_max`` must be below the last cited rank, which ``shifted_ladder``
+    checks: no row checks for h_k = 0.  With ``k_max=None`` the rows run
+    until the first one whose e/h side flips against row 0's (ties count
+    with row 0's side), else to the last cited rank.  Each row reads rank
+    h_k+k+1 once for its ``delta_k``.  Where a prefix cannot certify it, the
+    row carries ``None`` and the next row raises ``InsufficientTail``.
     """
     citations = profile.citations
     known = len(citations)
     complete = profile.complete
-    h_k = suffix_h(citations, 0, complete)
+    h_k = suffix_h(citations, complete)
     if h_k == 0:
         raise EmptyCore("h = 0: the shifted ladder is undefined")
     n_h_k = sum(citations[:h_k])
@@ -110,8 +102,6 @@ def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
     new, sqrt = tuple.__new__, math.sqrt
     k = 0
     while True:
-        if h_k <= 0:
-            raise IndexUnderflow(f"suffix at shift {k} has no cited entries")
         hsq = h_k * h_k
         ex = n_h_k - hsq
         rank = h_k + k + 1
@@ -142,9 +132,15 @@ def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
 
 
 def shifted_ladder(profile: CitationProfile, k_max: int) -> list[ShiftedRow]:
-    """Rows 0..k_max via the recurrences; each equals direct recomputation."""
-    if k_max < 0 or k_max > profile.p - 1:
-        raise RankOutOfRange(f"{shown('k_max', k_max)} outside 0..{profile.p - 1}")
+    """Rows 0..k_max via the recurrences; each equals direct recomputation.
+
+    Row k has h_k >= 1 exactly when rank k+1 is cited, so k_max runs up to
+    the last cited rank less one (to p - 1 for an uncited profile, which
+    raises ``EmptyCore``).
+    """
+    top = (profile.n_p_plus or profile.p) - 1
+    if k_max < 0 or k_max > top:
+        raise RankOutOfRange(f"{shown('k_max', k_max)} outside 0..{top}")
     return _ladder(profile, k_max)
 
 
@@ -168,7 +164,6 @@ def h_defect(profile: CitationProfile) -> DefectAnalysis:
     returned ladder.  Raises ``InsufficientTail`` when a prefix cannot
     certify the scan.
     """
-    entries = profile.citations
     rows = _ladder(profile, None)
     row0, last = rows[0], rows[-1]
     h0, ex0, ex, hsq = row0.h_k, _excess_sq(row0), _excess_sq(last), last.h_k * last.h_k
@@ -182,7 +177,6 @@ def h_defect(profile: CitationProfile) -> DefectAnalysis:
     else:
         d, tag = 0, "case3a" if ex0 >= (h0 - 1) ** 2 else "case3b"
 
-    h_d = rows[d].h_k
     # h_{k+1} >= h_k - 1, so h_k + k never decreases along the ladder.  The
     # last scanned row's delta_k builds no row, so the highest rank needed is
     # h_k + k + 1 of the row before it
@@ -190,8 +184,6 @@ def h_defect(profile: CitationProfile) -> DefectAnalysis:
     return DefectAnalysis(
         d=d,
         case_tag=tag,
-        defect_core=entries[:d],
-        an_domain=entries[d : d + h_d],
         rows=tuple(rows[: d + 2]),
         ranks_consumed=min(profile.p, before.h_k + before.k + 1),
     )

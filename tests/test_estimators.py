@@ -388,7 +388,7 @@ def _check_case4_bounds(values) -> bool:
 def test_case4_never_takes_a_hard_bound():
     # every partition of n <= 30 (n = 0 has no core)
     seen = sum(
-        _check_case4_bounds(part.parts) for n in range(1, 31) for part in enumerate_partitions(n)
+        _check_case4_bounds(parts) for n in range(1, 31) for parts in enumerate_partitions(n)
     )
     assert seen == 4476
 

@@ -145,15 +145,15 @@ def test_h_index_certified_on_prefix():
     assert h_index(truncate_head(p, 3)) == 3  # rank 3 value bounds the rest
 
 
-def linear_suffix_h(entries, shift, complete):
-    """Reference for ``suffix_h``: step m up while ``entries[shift + m - 1] >= m``."""
+def linear_suffix_h(entries, complete):
+    """Reference for ``suffix_h``: step m up while ``entries[m - 1] >= m``."""
     n = len(entries)
     m = 1
-    while shift + m <= n and entries[shift + m - 1] >= m:
+    while m <= n and entries[m - 1] >= m:
         m += 1
     v = m - 1
-    if not complete and shift + v >= n and (n == 0 or entries[-1] > v):
-        raise InsufficientTail(n, n + 1)
+    if not complete and v >= n and (n == 0 or entries[-1] > v):
+        raise InsufficientTail(n, n + 1, what="the h-index")
     return v
 
 
@@ -166,8 +166,8 @@ def _outcome(fn, *args):
 
 @given(profiles(min_size=0, max_size=60, max_value=80, nonzero_head=False))
 def test_bisected_suffix_h_matches_linear_scan(values):
-    # every shift, of the whole profile and of the same ranks read as a prefix
+    # every suffix, of the whole profile and of the same ranks read as a prefix
     for complete in (True, False):
         for shift in range(len(values) + 2):
-            expected = _outcome(linear_suffix_h, values, shift, complete)
-            assert _outcome(suffix_h, values, shift, complete) == expected
+            expected = _outcome(linear_suffix_h, values[shift:], complete)
+            assert _outcome(suffix_h, values[shift:], complete) == expected

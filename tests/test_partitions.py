@@ -6,7 +6,6 @@ import pytest
 
 from citest import (
     NegativeArgument,
-    Partition,
     ResourceLimit,
     count_by_durfee,
     durfee_mode_formula,
@@ -45,18 +44,10 @@ def test_partition_count_negative():
 
 
 def test_durfee_size_examples():
-    assert durfee_size(Partition((5, 3, 2, 1, 1))) == 2
+    assert durfee_size((5, 3, 2, 1, 1)) == 2
     assert durfee_size((1,)) == 1
     assert durfee_size((3, 3, 3)) == 3
     assert durfee_size(()) == 0
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
-    assert Partition((4, 2, 1)).weight == 7
 
 
 def test_count_by_durfee_11():
@@ -100,7 +91,7 @@ def test_count_by_durfee_resource_limit(exact):
 
 
 def test_enumerate_partitions_of_5_in_order():
-    parts = [p.parts for p in enumerate_partitions(5)]
+    parts = list(enumerate_partitions(5))
     assert parts == [
         (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1),
         (1, 1, 1, 1, 1),
@@ -108,11 +99,11 @@ def test_enumerate_partitions_of_5_in_order():
 
 
 def test_enumerate_partitions_zero():
-    assert [p.parts for p in enumerate_partitions(0)] == [()]
+    assert list(enumerate_partitions(0)) == [()]
 
 
 def test_enumerate_partitions_durfee_3_of_11():
-    with_d3 = [p.parts for p in enumerate_partitions(11) if durfee_size(p) == 3]
+    with_d3 = [p for p in enumerate_partitions(11) if durfee_size(p) == 3]
     assert len(with_d3) == 5
     assert (5, 3, 3) in with_d3 and (4, 4, 3) in with_d3
 

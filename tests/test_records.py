@@ -18,7 +18,6 @@ from citest import (
     EstimateReport,
     InsufficientTail,
     Interval,
-    Partition,
     ShiftedRow,
     compute_core_indices,
     count_by_durfee,
@@ -52,7 +51,6 @@ def _records():
         "CaseWeights": (report.weights, "beta_d"),
         "EstimateReport": (report, "a_est"),
         "ErrorMetrics": (error_metrics(profile, report), "delta_a"),
-        "Partition": (Partition((3, 1)), "parts"),
         "DurfeeDistribution": (count_by_durfee(10), "mode"),
     }
 

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 
 from citest import (
-    IndexUnderflow,
+    EmptyCore,
     InsufficientTail,
     RankOutOfRange,
+    enumerate_partitions,
     h_defect,
     h_index,
     normalize,
@@ -173,14 +174,6 @@ def test_defect_schubert_tie_stays_in_run(fixture_profile):
     assert d.row_d.e_k == 36.0
 
 
-def test_defect_core_structure(fixture_profile):
-    p = fixture_profile("garfield")
-    d = h_defect(p)
-    assert d.defect_core == p.citations[:25]
-    assert len(d.an_domain) == d.row_d.h_k
-    assert d.defect_core + d.an_domain == p.citations[: 25 + d.row_d.h_k]
-
-
 def test_case4_synthetic():
     # e starts below h and crosses above after one removal
     p = normalize([7, 7, 7, 5, 1, 1, 1])
@@ -203,8 +196,46 @@ def test_ladder_past_last_cited_rank_raises():
     # rows 0 and 1 have h = 1; removing the second entry leaves no cited one
     p = normalize([3, 1, 0, 0])
     assert [row.h_k for row in shifted_ladder(p, 1)] == [1, 1]
-    with pytest.raises(IndexUnderflow):
+    with pytest.raises(RankOutOfRange, match="k_max=2 outside 0..1"):
         shifted_ladder(p, 2)
+
+
+def _ladder_outcome(profile, k):
+    try:
+        return shifted_ladder(profile, k)
+    except InsufficientTail:
+        return InsufficientTail
+
+
+def test_ladder_range_is_the_cited_ranks():
+    # every partition of n <= 12, with and without two uncited ranks, whole
+    # and at every prefix: rows 0..top exist (top + 1 is the last cited
+    # rank, or p for an uncited profile) and row top + 1 is out of range
+    for n in range(13):
+        for parts in enumerate_partitions(n):
+            for values in (parts, parts + (0, 0)):
+                full = normalize(list(values))
+                direct = [direct_row(full.citations, k) for k in range(full.p)]
+                for m in range(full.p + 1):
+                    head = truncate_head(full, m)
+                    top = (sum(1 for v in head.citations if v) or m) - 1
+                    certified = True
+                    for k in range(top + 1):
+                        if n == 0:
+                            with pytest.raises(EmptyCore):
+                                shifted_ladder(head, k)
+                            continue
+                        rows = _ladder_outcome(head, k)
+                        if rows is InsufficientTail:
+                            # a prefix that cannot certify row k cannot certify row k + 1
+                            assert not head.complete
+                            certified = False
+                            continue
+                        assert certified, (values, m, k)
+                        assert [(r.h_k, r.n_h_k) for r in rows] == direct[: k + 1]
+                        assert rows[-1].h_k >= 1
+                    with pytest.raises(RankOutOfRange, match=f"k_max={top + 1} outside 0..{top}$"):
+                        shifted_ladder(head, top + 1)
 
 
 def test_insufficient_tail_raises():
