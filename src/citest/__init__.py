@@ -22,7 +22,6 @@ from .profile import (
 )
 from .indices import CoreIndices, compute_core_indices, g_index, h_index
 from .shifted import (
-    CASE_TAGS,
     DefectAnalysis,
     ShiftedRow,
     h_defect,
@@ -45,7 +44,6 @@ from .estimators import (
 from .partitions import (
     DurfeeDistribution,
     count_by_durfee,
-    durfee_mode_formula,
     durfee_moment_estimates,
     durfee_size,
     enumerate_partitions,

@@ -36,7 +36,7 @@ from .estimators import (
     interval_variants,
 )
 from .indices import compute_core_indices
-from .partitions import count_by_durfee, durfee_mode_formula, partition_count
+from .partitions import count_by_durfee, partition_count
 from .profile import load_profile, truncate_head
 from .shifted import h_defect
 
@@ -220,12 +220,13 @@ def cmd_partition(args) -> int:
     else:  # mode: the formula always prints, the exact mode when affordable
         if args.n > sys.float_info.max:  # math.sqrt converts n to a float
             raise ParseError(None, f"n must be below {sys.float_info.max:.2g} for the mode formula")
-        out.write(f"formula {durfee_mode_formula(args.n):.{args.precision}g}\n")
         try:
+            # first: its check names a negative n as n, where h_na's names it n_cit
             dist = count_by_durfee(args.n)
         except ResourceLimit:
-            pass
-        else:
+            dist = None
+        out.write(f"formula {h_na(args.n):.{args.precision}g}\n")
+        if dist is not None:
             tie = " (tied)" if dist.mode_tied else ""
             out.write(f"exact {dist.mode}{tie}\n")
     if args.out:

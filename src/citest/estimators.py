@@ -118,13 +118,15 @@ class CaseWeights(
 class EstimateReport(
     namedtuple(
         "EstimateReport",
-        "d case_tag h_na h_na_d h_na_d1 i_d i_d1 j_d j_d1 a_prime a_est weights"
+        "d case_tag i_d i_d1 j_d j_d1 a_prime a_est weights"
         " b_prime b_dprime b_est head_sum_d head_sum_d1 ranks_consumed",
     )
 ):
     """Every quantity the estimation pipeline produces for one profile: I and J
     at ladder rows d and d+1 (an interval's mean is its ``midpoint``), A', A,
-    and B', B'', B with the case weights (B'/B'' are None in cases 1b, 3a, 3b)."""
+    and B', B'', B with the case weights (B'/B'' are None in cases 1b, 3a, 3b).
+    A rank prefix that certifies the estimate gives a report equal to the full
+    profile's, ``ranks_consumed`` included."""
 
     __slots__ = ()
 
@@ -237,14 +239,8 @@ def estimate_report(
     a_prime = ((lo_d + hi_d) / 2.0 + (lo_d1 + hi_d1) / 2.0) / 2.0
     a_est = ((j_d.lo + j_d.hi) / 2.0 + (j_d1.lo + j_d1.hi) / 2.0) / 2.0
     b_prime, b_dprime, b_est, weights = _estimate_B(tag, row_d, row_d1, j_d, j_d1)
-
-    # row 0's tail total is the whole profile's total, known only when complete
-    total = defect.rows[0].n_cit_k
-    na = h_na(total) if total is not None else None
-    na_d = h_na(row_d.n_cit_k) if row_d.n_cit_k is not None else None
-    na_d1 = h_na(row_d1.n_cit_k) if row_d1.n_cit_k is not None else None
     return new(EstimateReport, (
-        d, tag, na, na_d, na_d1, i_d, i_d1, j_d, j_d1, a_prime, a_est, weights,
+        d, tag, i_d, i_d1, j_d, j_d1, a_prime, a_est, weights,
         b_prime, b_dprime, b_est, head_d, head_d1, defect.ranks_consumed,
     ))
 

@@ -36,7 +36,7 @@ def suffix_h(entries: tuple[int, ...] | list[int], complete: bool = True) -> int
     if not complete and v >= n:
         # window exhausted without seeing a failing rank
         if n == 0 or entries[-1] > v:
-            raise InsufficientTail(n, n + 1, what="the h-index at shift 0")
+            raise InsufficientTail(n, n + 1, what="the h-index")
     return v
 
 

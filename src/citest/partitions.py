@@ -5,8 +5,8 @@ has side d is the x^n coefficient of x^(d^2) / prod_{j<=d} (1-x^j)^2,
 extracted by dynamic programming on exact integers.  Every partition has
 exactly one Durfee side, so p(n) is the total of these counts; for small n
 they must match brute-force enumeration.  The distribution's exact mode,
-mean, and variance anchor the 0.5404446*sqrt(n) normal approximation that
-the citation estimators rely on.
+mean, and variance anchor the 0.5404446*sqrt(n) normal approximation,
+``estimators.h_na``, that the citation estimators rely on.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import accumulate
 
-from .constants import DURFEE_MODE_COEFF
 from .errors import ResourceLimit, at_least
 from .indices import suffix_h
 
@@ -64,7 +63,7 @@ def partition_count(n: int) -> int:
 
 
 class DurfeeDistribution(
-    namedtuple("DurfeeDistribution", "n counts total mode mode_tied mean variance")
+    namedtuple("DurfeeDistribution", "counts total mode mode_tied mean variance")
 ):
     """Exact counts of partitions of n by Durfee-square side."""
 
@@ -83,7 +82,7 @@ def count_by_durfee(n: int) -> DurfeeDistribution:
     mean = Fraction(sum(d * c for d, c in counts.items()), total)
     second = Fraction(sum(d * d * c for d, c in counts.items()), total)
     return DurfeeDistribution(
-        n=n, counts=counts, total=total, mode=mode, mode_tied=mode_tied,
+        counts=counts, total=total, mode=mode, mode_tied=mode_tied,
         mean=mean, variance=second - mean * mean,
     )
 
@@ -105,12 +104,6 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
             prefix.pop()
 
     yield from _descend(n, n, [])
-
-
-def durfee_mode_formula(n: int) -> float:
-    """Asymptotic most-likely Durfee side: 0.5404446394667307 * sqrt(n)."""
-    at_least("n", n, 0)
-    return DURFEE_MODE_COEFF * math.sqrt(n)
 
 
 def durfee_moment_estimates(n: int) -> tuple[float, float]:

@@ -61,13 +61,13 @@ class CitationProfile(
         return sum(self.citations)
 
 
-def normalize(raw: Iterable[int], name: str = "") -> CitationProfile:
+def normalize(raw: Iterable[int]) -> CitationProfile:
     """Validate and sort raw citation counts into a profile.
 
     Entries must be integers in 0..``MAX_CITATIONS``, in any order.  Raises
     ``NegativeCitation`` at the first negative input position, else ``ParseError``.
     """
-    return _profile(list(raw), name)
+    return _profile(list(raw))
 
 
 def _profile(entries: list, name: str = "") -> CitationProfile:

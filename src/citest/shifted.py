@@ -27,25 +27,12 @@ from .errors import EmptyCore, InsufficientTail, RankOutOfRange, shown
 from .indices import suffix_h
 from .profile import CitationProfile
 
-CASE_TAGS = (
-    "case1a",
-    "case1b",
-    "case2a_2c",
-    "case2a_2d",
-    "case2b_2c",
-    "case2b_2d",
-    "case3a",
-    "case3b",
-    "case4",
-)
-
-
-class ShiftedRow(namedtuple("ShiftedRow", "k h_k n_h_k e_k q_k n_cit_k delta_k")):
+class ShiftedRow(namedtuple("ShiftedRow", "k h_k n_h_k e_k q_k n_cit_k")):
     """One ladder row: the shifted index of order k and its core statistics.
 
-    ``n_cit_k`` (the tail total) and ``delta_k`` (the stay/drop indicator for
-    the next step) are ``None`` when the profile is a prefix that cannot pin
-    them down.
+    ``n_cit_k`` (the tail total) is ``None`` when the profile is a prefix.
+    Whether h stays at the next step shows in the next row:
+    ``rows[k + 1].h_k == rows[k].h_k``.
     """
 
     __slots__ = ()
@@ -77,8 +64,8 @@ def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
     checks: no row checks for h_k = 0.  With ``k_max=None`` the rows run
     until the first one whose e/h side flips against row 0's (ties count
     with row 0's side), else to the last cited rank.  Each row reads rank
-    h_k+k+1 once for its ``delta_k``.  Where a prefix cannot certify it, the
-    row carries ``None`` and the next row raises ``InsufficientTail``.
+    h_k+k+1 once for its stay/drop indicator ``delta_k``.  Where a prefix
+    cannot certify it, building the next row raises ``InsufficientTail``.
     """
     citations = profile.citations
     known = len(citations)
@@ -112,11 +99,11 @@ def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
         else:
             delta_k = None
         q_k = 2.0 * n_h_k / hsq - 1.0
-        rows.append(new(ShiftedRow, (k, h_k, n_h_k, sqrt(ex), q_k, n_cit_k, delta_k)))
+        rows.append(new(ShiftedRow, (k, h_k, n_h_k, sqrt(ex), q_k, n_cit_k)))
         if k == k_max or scan and ((ex < hsq) if above else (ex > hsq)):
             return rows
         if delta_k is None:
-            raise InsufficientTail(known, rank, what=f"the value at rank {rank}")
+            raise InsufficientTail(known, rank, what=f"ladder row {k + 1}")
         # on a stay the boundary entry, equal to h_k, re-enters the core.  h_k is
         # reused rather than rebuilt as h_k - 1 + delta_k, which would allocate
         # a new int per row once h exceeds the small-int cache

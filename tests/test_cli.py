@@ -348,7 +348,16 @@ def test_estimate_blind_too_short_exits_4(capsys):
     assert run("estimate", f"{FIXTURES}/garfield.csv", "--blind", "10") == (4, "")
     assert capsys.readouterr().err == (
         "citest: insufficient prefix: prefix of 10 ranks is insufficient to certify"
-        " the h-index at shift 0; rank 11 (at minimum) is required\n"
+        " the h-index; rank 11 (at minimum) is required\n"
+    )
+
+
+def test_estimate_blind_one_rank_short_names_the_ladder_row(capsys):
+    # 47 ranks certify garfield (d = 25); without rank 47, row d+1 cannot be built
+    assert run("estimate", f"{FIXTURES}/garfield.csv", "--blind", "46") == (4, "")
+    assert capsys.readouterr().err == (
+        "citest: insufficient prefix: prefix of 46 ranks is insufficient to certify"
+        " ladder row 26; rank 47 (at minimum) is required\n"
     )
 
 
@@ -433,6 +442,12 @@ def test_partition_mode_beyond_float_range_exits_2(capsys):
     assert capsys.readouterr().err == (
         "citest: bad input: n must be below 1.8e+308 for the mode formula\n"
     )
+
+
+def test_partition_mode_negative_n_exits_2(capsys):
+    # the exact count's check runs before the formula's, which would name n_cit
+    assert run("partition", "mode", "-5") == (2, "")
+    assert capsys.readouterr().err == "citest: bad input: n must be >= 0, got -5\n"
 
 
 def test_partition_resource_limit_exits_5():

@@ -7,6 +7,7 @@ and every CLI input goes through ``citest.errors``.
 
 import io
 import json
+from argparse import Namespace
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from citest import (
     ResourceLimit,
     brown_interval,
     count_by_durfee,
-    durfee_mode_formula,
     durfee_moment_estimates,
     enumerate_partitions,
     h_na,
@@ -28,7 +28,7 @@ from citest import (
     shifted_ladder,
     truncate_head,
 )
-from citest.cli import main
+from citest.cli import cmd_partition, main
 from citest.errors import at_least, quoted, shown
 
 BIG = int("1" * 4000)  # 4000 digits, inside int()'s digit limit
@@ -91,7 +91,8 @@ EMPTY = normalize([])
     (lambda n: count_by_durfee(n), ResourceLimit),
     (lambda n: next(enumerate_partitions(-n)), NegativeArgument),
     (lambda n: next(enumerate_partitions(n)), ResourceLimit),
-    (lambda n: durfee_mode_formula(-n), NegativeArgument),
+    (lambda n: cmd_partition(Namespace(sub="mode", n=-n, precision=6, out=None)),
+     NegativeArgument),
     (lambda n: durfee_moment_estimates(-n), NegativeArgument),
     (lambda n: h_na(-n), NegativeArgument),
     (lambda n: brown_interval(-n), NegativeArgument),

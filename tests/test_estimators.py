@@ -363,14 +363,6 @@ def test_estimate_report_unknown_case_tag():
         estimate_report(profile, defect)
 
 
-def test_report_shifted_normal_approximations(fixture_profile):
-    p = fixture_profile("garfield")
-    report = estimate_report(p)
-    assert abs(report.h_na - 57.994) < 0.005
-    assert abs(report.h_na_d - 22.165) < 0.005
-    assert report.h_na_d1 == pytest.approx(h_na(1609))
-
-
 def _check_case4_bounds(values) -> bool:
     """On a case-4 profile, assert that neither of the hard bounds that case 2
     mirrors would apply; return whether the profile is case 4."""
@@ -396,12 +388,6 @@ def test_case4_never_takes_a_hard_bound():
 @given(st.one_of(profiles(), steep_profiles()))
 def test_case4_never_takes_a_hard_bound_on_random_profiles(values):
     _check_case4_bounds(values)
-
-
-def test_report_blind_omits_totals(fixture_profile):
-    p = fixture_profile("garfield")
-    report = estimate_report(truncate_head(p, 48))
-    assert report.h_na is None and report.h_na_d is None and report.h_na_d1 is None
 
 
 def test_estimate_B_case1b():

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citest import (
-    CASE_TAGS,
     DegenerateCore,
     InsufficientTail,
     estimate_report,
@@ -70,9 +69,7 @@ def reference_defect(values):
         h, n_h, n_cit = stats[k]
         if h == 0:
             break  # a suffix with no cited entry has no ladder row
-        # delta_k says whether the shifted index stays at the next removal
-        delta = 1 if stats[k + 1][0] == h else 0
-        rows.append((k, h, n_h, n_cit, delta, math.sqrt(n_h - h * h), 2.0 * n_h / (h * h) - 1.0))
+        rows.append((k, h, n_h, n_cit, math.sqrt(n_h - h * h), 2.0 * n_h / (h * h) - 1.0))
     return rows, d, tag
 
 
@@ -104,9 +101,9 @@ def reference_estimates(values):
     d+1 do not both exist with e > 0, so an interval collapses.
     """
     rows, d, tag = reference_defect(values)
-    if len(rows) < d + 2 or rows[d][5] == 0 or rows[d + 1][5] == 0:
+    if len(rows) < d + 2 or rows[d][4] == 0 or rows[d + 1][4] == 0:
         return None
-    (_, h0, nh0, _, _, e0, q0), (_, h1, nh1, _, _, e1, q1) = rows[d], rows[d + 1]
+    (_, h0, nh0, _, e0, q0), (_, h1, nh1, _, e1, q1) = rows[d], rows[d + 1]
     head0, head1 = sum(values[:d]), sum(values[: d + 1])
     i0, i1 = _interval(h0, e0, q0), _interval(h1, e1, q1)
     j0 = (i0[0] + head0, i0[1] + head0)
@@ -188,7 +185,7 @@ def _check_estimates(values):
                 got = (got.lo, got.hi)
             assert _close(got, expected), (name, got, expected)
     rows, _, _ = reference_defect(profile.citations)
-    for _, h, _, _, _, e, q in rows:
+    for _, h, _, _, e, q in rows:
         if e > 0:
             band = interval_I(h, q, e)
             assert _close((band.lo, band.hi), _interval(h, e, q))
@@ -208,18 +205,6 @@ def test_fixture_estimates_match_reference(fixture_profile, path):
     _check_estimates(fixture_profile(path.stem).citations)
 
 
-# fields a prefix cannot know: they need the total, which only a full profile has
-_TOTAL_FIELDS = ("h_na", "h_na_d", "h_na_d1")
-
-
-def _shared(report):
-    return {
-        name: getattr(report, name)
-        for name in report._fields
-        if name not in _TOTAL_FIELDS and name != "ranks_consumed"
-    }
-
-
 @given(st.one_of(profiles(min_size=1, max_size=60), steep_profiles()))
 @settings(max_examples=120, deadline=None)
 def test_ladder_and_defect_match_reference(values):
@@ -227,8 +212,7 @@ def test_ladder_and_defect_match_reference(values):
     defect = h_defect(profile)
     rows, d, tag = reference_defect(profile.citations)
     assert (defect.d, defect.case_tag) == (d, tag)
-    assert defect.case_tag in CASE_TAGS
-    got = [(r.k, r.h_k, r.n_h_k, r.n_cit_k, r.delta_k, r.e_k, r.q_k) for r in defect.rows]
+    got = [(r.k, r.h_k, r.n_h_k, r.n_cit_k, r.e_k, r.q_k) for r in defect.rows]
     assert got == rows
 
 
@@ -240,7 +224,6 @@ def test_every_prefix_certifies_or_names_a_missing_rank(values):
         full = estimate_report(profile)
     except DegenerateCore:
         return  # no estimate exists for the full profile either
-    expected = _shared(full)
     for m in range(profile.p + 1):
         try:
             blind = estimate_report(truncate_head(profile, m))
@@ -248,12 +231,9 @@ def test_every_prefix_certifies_or_names_a_missing_rank(values):
             assert exc.needed_rank > m
             assert m < full.ranks_consumed  # the prefix the full run read certifies
             continue
-        assert _shared(blind) == expected
+        # every field, the prefix read included, is certified bit-for-bit
+        assert blind == full
         assert blind.ranks_consumed <= m
-        if m < profile.p:
-            assert all(getattr(blind, name) is None for name in _TOTAL_FIELDS)
-        else:
-            assert blind == full
     # the full run's prefix is the smallest: one rank less names that rank
     with pytest.raises(InsufficientTail) as shorter:
         estimate_report(truncate_head(profile, full.ranks_consumed - 1))

@@ -8,10 +8,10 @@ from citest import (
     NegativeArgument,
     ResourceLimit,
     count_by_durfee,
-    durfee_mode_formula,
     durfee_moment_estimates,
     durfee_size,
     enumerate_partitions,
+    h_na,
     partition_count,
 )
 from citest.partitions import MAX_N
@@ -144,14 +144,14 @@ def test_count_by_durfee_matches_convolution_per_side(n):
 
 
 def test_durfee_mode_formula_values():
-    assert abs(durfee_mode_formula(10000) - 54.044) < 0.001
-    assert abs(durfee_mode_formula(2500) - 27.02) < 0.005
-    assert durfee_mode_formula(0) == 0.0
+    assert abs(h_na(10000) - 54.044) < 0.001
+    assert abs(h_na(2500) - 27.02) < 0.005
+    assert h_na(0) == 0.0
 
 
 def test_mode_tracks_formula_at_100():
     dist = count_by_durfee(100)
-    assert abs(dist.mode - durfee_mode_formula(100)) <= 1.0
+    assert abs(dist.mode - h_na(100)) <= 1.0
 
 
 def test_moment_estimates_track_exact_values():
