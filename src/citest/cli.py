@@ -4,8 +4,8 @@
 ``estimate`` and tables 2 and 5 off another, ``_estimate_row``.  Exit code 1
 means ``table --diff`` found mismatches.  A failure prints one
 ``citest: <label>: <message>`` line on stderr and exits with the code that
-``_FAILURES`` gives its exception.  All output is deterministic for identical
-inputs.
+``_FAILURES`` gives its exception; a closed stdout exits ``EXIT_PIPE``
+quietly.  All output is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .profile import load_profile, truncate_head
 from .shifted import h_defect
 
 EXIT_DIFF = 1
+# 128 + SIGPIPE: what a shell reports for a tool that a closed pipe stopped
+EXIT_PIPE = 141
 
 
 class MissingFixtures(Exception):
@@ -423,7 +425,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; point the fd at devnull so that the
+        # interpreter's final flush of what is still buffered stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except tuple(_FAILURES) as exc:
         code, label = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
         print(f"citest: {label}: {exc}", file=sys.stderr)

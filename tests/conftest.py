@@ -23,26 +23,6 @@ def fixture_profile():
     return _load
 
 
-def pentagonal_counts(n_max: int) -> list[int]:
-    """p(0..n_max) by Euler's pentagonal-number recurrence: the tests'
-    reference for the library's Durfee-count totals."""
-    # generalized pentagonal offsets g = k(3k-1)/2 and g + k = k(3k+1)/2 up
-    # to n_max: p(m - g) is added for odd k and subtracted for even k
-    plus: list[int] = []
-    minus: list[int] = []
-    k = 1
-    while (g := k * (3 * k - 1) // 2) <= n_max:
-        side = plus if k % 2 else minus
-        side.append(g)
-        if g + k <= n_max:
-            side.append(g + k)
-        k += 1
-    p = [1] + [0] * n_max
-    for m in range(1, n_max + 1):
-        p[m] = sum([p[m - g] for g in plus if g <= m]) - sum([p[m - g] for g in minus if g <= m])
-    return p
-
-
 def profiles(min_size=1, max_size=60, max_value=200, nonzero_head=True):
     """Strategy producing sorted citation tuples (profiles come pre-sorted)."""
 

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -359,6 +362,25 @@ def test_estimate_blind_one_rank_short_names_the_ladder_row(capsys):
         "citest: insufficient prefix: prefix of 46 ranks is insufficient to certify"
         " ladder row 26; rank 47 (at minimum) is required\n"
     )
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # a buffered stdout fails at the final flush, an unbuffered one at the write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "citest.cli", "estimate", f"{FIXTURES}/garfield.csv"],
+            stdout=write, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_estimate_ladder_on_a_flat_core_skips_the_error_metrics(tmp_path, capsys):

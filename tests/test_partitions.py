@@ -15,7 +15,7 @@ from citest import (
     partition_count,
 )
 from citest.partitions import MAX_N
-from conftest import pentagonal_counts
+import reference
 
 # sampled up to the ceiling; MAX_N - 1 and MAX_N included
 GRID = (2, 17, 60, 121, *range(250, MAX_N + 1, 250), MAX_N - 1)
@@ -53,7 +53,7 @@ def test_durfee_size_examples():
 def test_count_by_durfee_11():
     dist = count_by_durfee(11)
     assert dist.counts[3] == 5
-    assert dist.total == pentagonal_counts(11)[11] == 56
+    assert dist.total == reference.partition_counts(11)[11] == 56
 
 
 def test_count_by_durfee_edges():
@@ -64,7 +64,7 @@ def test_count_by_durfee_edges():
 
 def test_count_by_durfee_sums_to_partition_count():
     # sum_d x^(d^2) / ((x;x)_d)^2 = 1 / (x;x)_inf, against Euler's recurrence
-    p = pentagonal_counts(MAX_N)
+    p = reference.partition_counts(MAX_N)
     for n in GRID:
         dist = count_by_durfee(n)
         assert dist.total == p[n]
@@ -73,7 +73,7 @@ def test_count_by_durfee_sums_to_partition_count():
 
 
 def test_partition_count_matches_pentagonal_recurrence():
-    p = pentagonal_counts(MAX_N)
+    p = reference.partition_counts(MAX_N)
     for n in (*range(501), *GRID):
         assert partition_count(n) == p[n], n
 
@@ -120,27 +120,9 @@ def test_enumeration_histogram_matches_dp():
         assert dict(histogram) == count_by_durfee(n).counts
 
 
-def _durfee_counts_by_convolution(n):
-    """A partition with Durfee side d is a d x d square, a partition into
-    parts <= d below it and one into at most d parts to its right; by
-    conjugation both are counted as partitions into parts <= d, convolved
-    over the n - d^2 cells left."""
-    counts = {}
-    d = 1
-    while d * d <= n:
-        m = n - d * d
-        parts = [1] + [0] * m
-        for part in range(1, d + 1):
-            for i in range(part, m + 1):
-                parts[i] += parts[i - part]
-        counts[d] = sum(parts[i] * parts[m - i] for i in range(m + 1))
-        d += 1
-    return counts
-
-
 @pytest.mark.parametrize("n", [1, 8, 9, 10, 99, 100, 101, 257, 399, 400])
 def test_count_by_durfee_matches_convolution_per_side(n):
-    assert count_by_durfee(n).counts == _durfee_counts_by_convolution(n)
+    assert count_by_durfee(n).counts == reference.durfee_counts(n)
 
 
 def test_durfee_mode_formula_values():
@@ -212,7 +194,7 @@ def test_log_concavity_central_range():
 
 def test_recurrence_vs_dp_digit_for_digit():
     dist = count_by_durfee(1000)
-    assert sum(dist.counts.values()) == pentagonal_counts(1000)[1000]
+    assert sum(dist.counts.values()) == reference.partition_counts(1000)[1000]
 
 
 def test_mode_drift_bounded_on_grid():
