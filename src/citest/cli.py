@@ -4,8 +4,8 @@
 ``estimate`` and tables 2 and 5 off another, ``_estimate_row``.  Exit code 1
 means ``table --diff`` found mismatches.  A failure prints one
 ``citest: <label>: <message>`` line on stderr and exits with the code that
-``_FAILURES`` gives its exception; a closed stdout exits ``EXIT_PIPE``
-quietly.  All output is deterministic for identical inputs.
+``_FAILURES`` gives its exception; a command that writes to a closed stdout
+exits ``EXIT_PIPE`` quietly.  All output is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -156,16 +156,15 @@ def cmd_indices(args) -> int:
 
 # ------------------------------------------------------------- estimate
 
-def _estimate_row(profile, subject, name) -> dict:
-    """Every column of ``estimate`` and of tables 2 and 5 for ``subject``, the
-    full ``profile`` or a rank prefix of it, with the ladder rows 0..d+1 under
-    ``ladder``; the error metrics too when ``subject`` is complete."""
+def _estimate_row(subject, name) -> dict:
+    """Every column of ``estimate`` and of tables 2 and 5 for ``subject``, a
+    full profile or a rank prefix of one, with the ladder rows 0..d+1 under
+    ``ladder``; ``n_cit`` and the error metrics too when ``subject`` is complete."""
     defect = h_defect(subject)
     report = estimate_report(subject, defect)
     row_d, row_d1 = defect.row_d, defect.row_d1
     row = {
         "name": name,
-        "n_cit": profile.n_cit,
         "h": defect.rows[0].h_k,
         "case": report.case_tag,
         "d": report.d,
@@ -188,14 +187,14 @@ def _estimate_row(profile, subject, name) -> dict:
         "ladder": defect.rows,
     }
     if subject.complete:
-        row.update(error_metrics(profile, report)._asdict())
+        row.update(n_cit=subject.n_cit, **error_metrics(subject, report)._asdict())
     return row
 
 
 def cmd_estimate(args) -> int:
     profile = _load(args.file, args.format)
     subject = profile if args.blind is None else truncate_head(profile, args.blind)
-    row = _estimate_row(profile, subject, profile.name)
+    row = _estimate_row(subject, profile.name)
     if args.ladder:
         rows = [_pick(ladder_row._asdict(), _LADDER) for ladder_row in row["ladder"]]
         _emit_table(rows, args.precision, sys.stdout)
@@ -303,7 +302,7 @@ def cmd_table(args) -> int:
         if args.table == "1":
             rows = [_pick(_indices_row(p, name), _TABLE1) for name, p in profiles.items()]
         else:
-            rows = [_pick(_estimate_row(p, p, name), _TABLE2) for name, p in profiles.items()]
+            rows = [_pick(_estimate_row(p, name), _TABLE2) for name, p in profiles.items()]
     _emit_table(rows, args.precision, sys.stdout)
     if args.diff and not _diff_report(args.table, rows, sys.stdout):
         return EXIT_DIFF
@@ -424,8 +423,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # fd 1 closed at start leaves sys.stdout None: a command writes to a
+    # buffer instead, and one that wrote anything exits as on a closed pipe
+    closed = sys.stdout is None
+    if closed:
+        sys.stdout = io.StringIO()
     try:
         code = args.func(args)
+        if closed:
+            return EXIT_PIPE if sys.stdout.tell() else code
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -439,6 +445,9 @@ def main(argv=None) -> int:
         code, label = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
         print(f"citest: {label}: {exc}", file=sys.stderr)
         return code
+    finally:
+        if closed:
+            sys.stdout = None
 
 
 if __name__ == "__main__":

@@ -43,12 +43,10 @@ class DegenerateCore(CitestError):
 class InsufficientTail(CitestError):
     """A rank prefix is too short to certify the requested quantity.
 
-    ``known_ranks`` is how many ranks were available, ``needed_rank`` the first
-    rank whose value could not be pinned down.
+    ``needed_rank`` is the first rank whose value could not be pinned down.
     """
 
     def __init__(self, known_ranks: int, needed_rank: int, what: str):
-        self.known_ranks = known_ranks
         self.needed_rank = needed_rank
         super().__init__(
             f"prefix of {known_ranks} ranks is insufficient to certify {what}; "
@@ -68,8 +66,6 @@ class ResourceLimit(CitestError):
     """Requested computation exceeds the size ceiling."""
 
     def __init__(self, n: int, ceiling: int):
-        self.n = n
-        self.ceiling = ceiling
         super().__init__(f"{shown('n', n)} exceeds the ceiling of {ceiling}")
 
 

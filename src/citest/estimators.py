@@ -23,7 +23,7 @@ from collections import namedtuple
 
 from .constants import DURFEE_MODE_COEFF, INV_COEFF, INV_COEFF_SQ
 from .errors import DegenerateCore, GroundTruthUnavailable, WrongCase, at_least, quoted
-from .indices import CoreIndices, compute_core_indices
+from .indices import CoreIndices
 from .profile import CitationProfile
 from .shifted import DefectAnalysis, ShiftedRow, h_defect
 
@@ -131,18 +131,9 @@ class EstimateReport(
     __slots__ = ()
 
 
-class ErrorMetrics(
-    namedtuple(
-        "ErrorMetrics",
-        "delta_1 delta_2 delta_3 delta_4 delta_d cap_delta_a cap_delta_b delta_a delta_b",
-    )
-):
-    """Relative and absolute errors against the known total N_cit.
-
-    The interval-mean deltas are signed (estimate - N_cit)/N_cit; the A/B
-    deltas follow the opposite convention (N_cit - estimate), kept as the
-    source tables print them.
-    """
+class ErrorMetrics(namedtuple("ErrorMetrics", "cap_delta_a cap_delta_b delta_a delta_b")):
+    """Absolute and relative errors of A and B against the known total N_cit,
+    signed N_cit - estimate, as the source tables print them."""
 
     __slots__ = ()
 
@@ -255,25 +246,14 @@ def brown_interval(n_cit: int | float) -> Interval:
 
 
 def error_metrics(profile: CitationProfile, report: EstimateReport) -> ErrorMetrics:
-    """All published error measures; needs the true total, so full profiles only.
+    """The A/B errors; needs the true total, so full profiles only.
 
-    ``delta_1``..``delta_4`` are ``None`` for a flat core (e = 0: every core
-    entry equals h), whose interval variants collapse; the A/B errors and
-    ``delta_d`` come from ``report`` and are always given.
+    ``report`` must be ``estimate_report(profile)``.
     """
     if not profile.complete:
         raise GroundTruthUnavailable("error metrics need the full profile")
     n_cit = profile.n_cit
-    indices = compute_core_indices(profile)
-    if indices.e_index > 0.0:
-        variants = interval_variants(indices)
-        means = (variants.i_mean, variants.iq_mean, variants.ir_mean, variants.iq_prime_mean)
-        deltas = [(mean - n_cit) / n_cit for mean in means]
-    else:
-        deltas = [None] * 4
     return ErrorMetrics(
-        *deltas,
-        delta_d=(n_cit - report.j_d.midpoint) / n_cit,
         cap_delta_a=n_cit - report.a_est,
         cap_delta_b=n_cit - report.b_est,
         delta_a=(n_cit - report.a_est) / n_cit,

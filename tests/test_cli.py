@@ -364,9 +364,23 @@ def test_estimate_blind_one_rank_short_names_the_ladder_row(capsys):
     )
 
 
-@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
-def test_closed_stdout_exits_141_quietly(unbuffered):
-    # a buffered stdout fails at the final flush, an unbuffered one at the write
+GARFIELD = ["estimate", f"{FIXTURES}/garfield.csv"]
+
+
+@pytest.mark.parametrize("stdout, unbuffered, args, expected", [
+    ("pipe", None, GARFIELD, (141, b"")),
+    ("pipe", "1", GARFIELD, (141, b"")),
+    ("closed", None, GARFIELD, (141, b"")),
+    ("closed", None, ["partition", "count", "10", "--out", "F"], (0, b"")),
+    ("closed", None, [*GARFIELD, "--blind", "10"], (4, (
+        b"citest: insufficient prefix: prefix of 10 ranks is insufficient to certify"
+        b" the h-index; rank 11 (at minimum) is required\n"
+    ))),
+], ids=["buffered", "unbuffered", "closed_fd", "closed_fd_out_file", "closed_fd_failure"])
+def test_closed_stdout_exits_141_quietly(tmp_path, stdout, unbuffered, args, expected):
+    # a pipe whose reader is gone fails a buffered stdout at the final flush,
+    # an unbuffered one at the write; fd 1 closed before exec leaves
+    # sys.stdout None, and a command that writes nothing there exits as usual
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
     if unbuffered:
@@ -375,17 +389,20 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
     os.close(read)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "citest.cli", "estimate", f"{FIXTURES}/garfield.csv"],
-            stdout=write, stderr=subprocess.PIPE, env=env,
+            [sys.executable, "-m", "citest.cli", *args], cwd=tmp_path, env=env,
+            stdout=write if stdout == "pipe" else None, stderr=subprocess.PIPE,
+            preexec_fn=None if stdout == "pipe" else lambda: os.close(1),
         )
     finally:
         os.close(write)
-    assert (proc.returncode, proc.stderr) == (141, b"")
+    assert (proc.returncode, proc.stderr) == expected
+    if "--out" in args:
+        assert (tmp_path / "F").read_text() == "42\n"
 
 
 def test_estimate_ladder_on_a_flat_core_skips_the_error_metrics(tmp_path, capsys):
-    # e = 0 at row 0: the ladder, A, B and their errors compute; only the
-    # interval-variant deltas, which estimate does not print, do not
+    # e = 0 at row 0 collapses the interval variants of indices, but not the
+    # ladder, A, B or their errors, which come from rows d and d+1
     path = tmp_path / "flat.txt"
     path.write_text("3\n3\n3\n")
     assert run("estimate", str(path), "--ladder") == (0, (
