@@ -144,53 +144,36 @@ def _require_rows(defect: DefectAnalysis) -> tuple[ShiftedRow, ShiftedRow]:
     return defect.rows[defect.d], defect.rows[defect.d + 1]
 
 
-def _weighted(lo: float, hi: float, weight_hi: float) -> float:
-    return (1.0 - weight_hi) * lo + weight_hi * hi
+def _weighted(band: Interval, weight_hi: float) -> float:
+    return (1.0 - weight_hi) * band.lo + weight_hi * band.hi
+
+
+# case 2's sub-tags: whether B' takes J_d's upper bound (2a), B'' J_{d+1}'s lower (2c)
+_CASE2_HARD = {"case2a_2c": (True, True), "case2a_2d": (True, False),
+               "case2b_2c": (False, True), "case2b_2d": (False, False)}
 
 
 def _estimate_B(
     tag: str, row_d: ShiftedRow, row_d1: ShiftedRow, j_d: Interval, j_d1: Interval
 ) -> tuple[float | None, float | None, float, CaseWeights]:
-    if tag == "case1a":
-        # both upper bounds, averaged (d = 0, so J_0 = I_0)
-        weights = CaseWeights(alpha_d=0.0, beta_d=1.0, alpha_d1=0.0, beta_d1=1.0)
-        return j_d.hi, j_d1.hi, (j_d.hi + j_d1.hi) / 2.0, weights
-
-    if tag == "case1b":
-        beta = _frac(row_d.e_k)
-        weights = CaseWeights(alpha_d=1.0 - beta, beta_d=beta)
-        return None, None, _weighted(j_d.lo, j_d.hi, beta), weights
-
-    if tag == "case3a":
-        # fractional weight lands on the lower bound here
-        beta = _frac(row_d.e_k)
-        weights = CaseWeights(alpha_d=1.0 - beta, beta_d=beta)
-        return None, None, _weighted(j_d.lo, j_d.hi, 1.0 - beta), weights
-
+    # B is a point in J_d alone (cases 1b, 3a, 3b) or the mean of B' in J_d and
+    # B'' in J_{d+1}.  Each point weights its interval's upper bound, so a hard
+    # bound is the weight 1.0 (upper) or 0.0 (lower): 0.0*lo + 1.0*hi == hi and
+    # 1.0*lo + 0.0*hi == lo exactly.  CaseWeights keeps the paper's labels,
+    # which in 3a, 2d and row d+1 of case 4 are not the upper bound's weight.
+    f_d = _frac(row_d.e_k)
+    if tag == "case1b" or tag == "case3a":
+        # in 3a the fractional weight lands on the lower bound
+        b_est = _weighted(j_d, f_d if tag == "case1b" else 1.0 - f_d)
+        return None, None, b_est, CaseWeights(alpha_d=1.0 - f_d, beta_d=f_d)
     if tag == "case3b":
-        beta = _frac(row_d.e_k)
-        weights = CaseWeights(beta_d=beta)
-        return None, None, beta * j_d.hi, weights
+        return None, None, f_d * j_d.hi, CaseWeights(beta_d=f_d)
 
-    if tag.startswith("case2"):
-        if "2a" in tag:
-            beta_d = 1.0
-            b_prime = j_d.hi
-        else:
-            beta_d = _frac(row_d.e_k)
-            b_prime = _weighted(j_d.lo, j_d.hi, beta_d)
-        if "2c" in tag:
-            beta_d1 = 0.0
-            b_dprime = j_d1.lo
-        else:
-            beta_d1 = _frac(row_d1.e_k)
-            b_dprime = _weighted(j_d1.lo, j_d1.hi, 1.0 - beta_d1)
-        weights = CaseWeights(
-            alpha_d=1.0 - beta_d, beta_d=beta_d, alpha_d1=1.0 - beta_d1, beta_d1=beta_d1
-        )
-        return b_prime, b_dprime, (b_prime + b_dprime) / 2.0, weights
-
-    if tag == "case4":
+    if tag == "case1a":
+        # both upper bounds (d = 0, so J_0 = I_0)
+        w_d = w_d1 = 1.0
+        weights = CaseWeights(alpha_d=0.0, beta_d=1.0, alpha_d1=0.0, beta_d1=1.0)
+    elif tag == "case4":
         # mirror of case 2 with the weight roles swapped.  Case 2's hard bounds
         # would mirror to (h_d-1)^2 > ex_d and ex_{d+1} > (h_{d+1}+1)^2, with
         # ex_k = e_k^2, but no profile meets either.  Proof, a_1 >= ... >= a_h
@@ -200,16 +183,21 @@ def _estimate_B(
         # - ex_{d+1} > (h-1)^2 puts the mean of b_2..b_h above h - 2, so
         #   b_1 >= h - 1 and ex_d = b_1 + ex_{d+1} - (h-1) >= ex_{d+1} > (h-1)^2.
         # - row d did not cross: ex_{d+1} <= ex_d <= h^2 = (h_{d+1}+1)^2.
-        alpha_d = _frac(row_d.e_k)
-        b_prime = _weighted(j_d.lo, j_d.hi, 1.0 - alpha_d)
-        alpha_d1 = _frac(row_d1.e_k)
-        b_dprime = _weighted(j_d1.lo, j_d1.hi, alpha_d1)
+        f_d1 = _frac(row_d1.e_k)
+        w_d, w_d1 = 1.0 - f_d, f_d1
+        weights = CaseWeights(alpha_d=f_d, beta_d=1.0 - f_d, alpha_d1=f_d1, beta_d1=1.0 - f_d1)
+    elif tag in _CASE2_HARD:
+        hard_d, hard_d1 = _CASE2_HARD[tag]
+        beta_d = w_d = 1.0 if hard_d else f_d
+        beta_d1 = 0.0 if hard_d1 else _frac(row_d1.e_k)
+        w_d1 = 0.0 if hard_d1 else 1.0 - beta_d1
         weights = CaseWeights(
-            alpha_d=alpha_d, beta_d=1.0 - alpha_d, alpha_d1=alpha_d1, beta_d1=1.0 - alpha_d1
+            alpha_d=1.0 - beta_d, beta_d=beta_d, alpha_d1=1.0 - beta_d1, beta_d1=beta_d1
         )
-        return b_prime, b_dprime, (b_prime + b_dprime) / 2.0, weights
-
-    raise WrongCase(f"unrecognized case tag {quoted(tag)}")
+    else:
+        raise WrongCase(f"unrecognized case tag {quoted(tag)}")
+    b_prime, b_dprime = _weighted(j_d, w_d), _weighted(j_d1, w_d1)
+    return b_prime, b_dprime, (b_prime + b_dprime) / 2.0, weights
 
 
 def estimate_report(

@@ -135,13 +135,6 @@ def _excess_sq(row: ShiftedRow) -> int:
     return row.n_h_k - row.h_k * row.h_k
 
 
-def _refine_case2(row_d: ShiftedRow, row_d1: ShiftedRow) -> str:
-    # thresholds compared on exact integers: e > h+1  <=>  e^2 > (h+1)^2
-    prime = "2a" if _excess_sq(row_d) > (row_d.h_k + 1) ** 2 else "2b"
-    second = "2c" if (row_d1.h_k - 1) ** 2 > _excess_sq(row_d1) else "2d"
-    return f"case{prime}_{second}"
-
-
 def h_defect(profile: CitationProfile) -> DefectAnalysis:
     """Classify the profile per the four-case defect definition.
 
@@ -153,12 +146,18 @@ def h_defect(profile: CitationProfile) -> DefectAnalysis:
     """
     rows = _ladder(profile, None)
     row0, last = rows[0], rows[-1]
-    h0, ex0, ex, hsq = row0.h_k, _excess_sq(row0), _excess_sq(last), last.h_k * last.h_k
+    h0, ex0, h, ex = row0.h_k, _excess_sq(row0), last.h_k, _excess_sq(last)
     above = ex0 >= h0 * h0
-    # the scan ends on the crossing row, else at its bound with no crossing
-    if (ex < hsq) if above else (ex > hsq):
+    # every threshold compared on exact integers: e > h+1  <=>  e^2 > (h+1)^2.
+    # The scan ends on the crossing row d+1, else at its bound with no crossing
+    if (ex < h * h) if above else (ex > h * h):
         d = last.k - 1
-        tag = _refine_case2(rows[d], last) if above else "case4"
+        if above:
+            row_d = rows[d]
+            tag = "case2a" if _excess_sq(row_d) > (row_d.h_k + 1) ** 2 else "case2b"
+            tag += "_2c" if (h - 1) ** 2 > ex else "_2d"
+        else:
+            tag = "case4"
     elif above:
         d, tag = 0, "case1a" if ex0 > (h0 + 1) ** 2 else "case1b"
     else:

@@ -10,6 +10,7 @@ from citest import (
     EmptyCore,
     GroundTruthUnavailable,
     InsufficientTail,
+    Interval,
     WrongCase,
     brown_interval,
     compute_core_indices,
@@ -371,3 +372,10 @@ def test_interval_containment(fixture_profile):
     v = interval_variants(compute_core_indices(p))
     assert p.n_cit not in v.i
     assert p.n_cit in v.iq
+
+
+def test_interval_contains_both_bounds_and_nothing_past_them():
+    band = Interval(2.5, 7.25)
+    assert 2.5 in band and 7.25 in band
+    assert math.nextafter(2.5, -math.inf) not in band
+    assert math.nextafter(7.25, math.inf) not in band

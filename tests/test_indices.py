@@ -124,6 +124,15 @@ def test_g_index_needs_full_profile():
         g_index(truncate_head(p, 2))
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_g_index_on_a_prefix_names_the_next_rank(m):
+    from citest import truncate_head
+
+    with pytest.raises(InsufficientTail) as exc:
+        g_index(truncate_head(normalize([10, 5, 3, 1]), m))
+    assert exc.value.needed_rank == m + 1
+
+
 def test_h_index_certified_on_prefix():
     from citest import truncate_head
 

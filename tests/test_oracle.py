@@ -55,6 +55,14 @@ def _check_estimates(profile):
             if hasattr(got, "lo"):
                 got = (got.lo, got.hi)
             assert _close(got, expected), (name, got, expected)
+    # a hard bound is the bound itself, bit for bit
+    tag = report.case_tag
+    if tag == "case1a":
+        assert (report.b_prime, report.b_dprime) == (report.j_d.hi, report.j_d1.hi)
+    if tag.startswith("case2a"):
+        assert report.b_prime == report.j_d.hi
+    if tag.endswith("_2c"):
+        assert report.b_dprime == report.j_d1.lo
     for _, h, _, _, e, q in reference.defect(profile.citations)[0]:
         if e > 0:
             band = interval_I(h, q, e)

@@ -149,6 +149,11 @@ def test_moment_estimate_2500():
     assert abs(mean_est - (0.540446395 * 50 + 0.085691 + 0.0374788 / 50)) < 1e-12
 
 
+def test_moment_variance_estimate_2500():
+    _, var_est = durfee_moment_estimates(2500)
+    assert abs(var_est - (0.081057 * 50 + 0.018459 - 0.018015 / 50)) < 1e-12
+
+
 @pytest.mark.parametrize(
     "n, literal_err, corrected_err",
     [(500, -5.4e-5, -9.3e-5), (2000, 5.5e-5, -2.3e-5), (5000, 1.15e-4, -9.6e-6)],
