@@ -6,15 +6,20 @@ means ``table --diff`` found mismatches.  A failure prints one
 ``citest: <label>: <message>`` line on stderr and exits with the code that
 ``_FAILURES`` gives its exception; a command that writes to a closed stdout
 exits ``EXIT_PIPE`` quietly.  All output is deterministic for identical inputs.
+
+``main`` reads a well-formed command line itself (``_read_argv``), so a
+plain command loads no argparse; help, usage and every error come from
+argparse, through ``citest._parser``.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
+# csv's C core: csv.writer is _csv.writer, and the csv module would load re and enum
+import _csv as csv
 import io
 import os
 import sys
+from types import SimpleNamespace
 
 from . import refdata
 from .errors import (
@@ -26,7 +31,7 @@ from .errors import (
     ParseError,
     RankOutOfRange,
     ResourceLimit,
-    quoted,
+    integer_argument,
 )
 from .estimators import (
     brown_interval,
@@ -106,17 +111,40 @@ def _emit_table(rows, precision, out) -> None:
         writer.writerow(_fmt(v, precision) for v in row.values())
 
 
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+                 "\r": "\\r", "\t": "\\t"}
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_char(c: str) -> str:
+    n = ord(c)
+    if n >= 0x10000:  # a surrogate pair
+        n -= 0x10000
+        return f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}"
+    return _JSON_ESCAPES.get(c) or (c if " " <= c <= "~" else f"\\u{n:04x}")
+
+
+def _json_scalar(value) -> str:
+    """``value`` (None, str, int or float; a float rounded to 10 places) as
+    ``json.dumps`` writes it."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return '"' + "".join(map(_json_char, value)) + '"'
+    text = repr(round(value, 10) if isinstance(value, float) else value)
+    return _JSON_NONFINITE.get(text, text)
+
+
 def _emit_row(row: dict, style: str, precision: int, out) -> None:
     if style == "json":
-        import json  # imported here: no other output style needs it
-
-        serializable = {
-            k: (v if isinstance(v, (int, str, type(None))) else
-                ([round(x, 10) for x in v] if isinstance(v, tuple) else round(v, 10)))
+        # json.dump(row, indent=2)'s bytes, written without json: it loads re and enum
+        items = [
+            f"  {_json_scalar(k)}: " + (
+                "[\n" + ",\n".join(f"    {_json_scalar(x)}" for x in v) + "\n  ]"
+                if isinstance(v, tuple) else _json_scalar(v))
             for k, v in row.items()
-        }
-        json.dump(serializable, out, indent=2, sort_keys=False)
-        out.write("\n")
+        ]
+        out.write("{\n" + ",\n".join(items) + "\n}\n")
     elif style == "csv":
         _emit_table([row], precision, out)
     else:
@@ -311,125 +339,99 @@ def cmd_table(args) -> int:
 
 # ------------------------------------------------------------- driver
 
-class _Formatter(argparse.HelpFormatter):
-    """argparse's help formatter at the width ``shutil.get_terminal_size``
-    gives, minus 2, as argparse's own; it reads that width without importing
-    ``shutil``, which argparse does for every parser it builds."""
+def _choice(*choices):
+    def read(text: str) -> str:
+        if text not in choices:
+            raise ValueError(text)
+        return text
 
-    def __init__(self, prog):
-        try:
-            columns = int(os.environ["COLUMNS"])
-        except (KeyError, ValueError):
-            columns = 0
-        if columns <= 0:
-            try:
-                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-            except (AttributeError, ValueError, OSError):  # no stdout, or not a terminal
-                columns = 0
-        super().__init__(prog, width=(columns or 80) - 2)
+    return read
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, whose messages name a raw argument past 20 characters by its
-    size (``a 100000-character argument``) instead of echoing it, and whose
-    help is sized by ``_Formatter``; the subparsers that ``add_subparsers``
-    makes are of this class too."""
-
-    def __init__(self, *args, formatter_class=_Formatter, **kwargs):
-        super().__init__(*args, formatter_class=formatter_class, **kwargs)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self.raw_args = sys.argv[1:] if args is None else list(args)
-        return super().parse_known_args(self.raw_args, namespace)
-
-    def error(self, message):
-        # an option may carry its value after '=': --format=VALUE
-        texts = {text for arg in self.raw_args for text in (arg, arg.partition("=")[2])}
-        for text in sorted(texts, key=len, reverse=True):
-            if quoted(text) != repr(text):
-                size = quoted(text, "argument")
-                message = message.replace(repr(text), size).replace(text, size)
-        super().error(message)
+# each command's positionals as (dest, read), and its options as name ->
+# read, ``None`` for a flag; an option's dest is its name without '--'.  A
+# read raises ValueError on a value that argparse would refuse
+_FORMAT = _choice("json", "csv", "lines")
+_PRECISION = {"--precision": lambda text: integer_argument(text, 0, 17)}
+_SYNTAX = {
+    "indices": ((("file", str),),
+                {**_PRECISION, "--format": _FORMAT, "--json": None, "--csv": None}),
+    "estimate": ((("file", str),),
+                 {**_PRECISION, "--format": _FORMAT, "--blind": integer_argument,
+                  "--ladder": None, "--json": None}),
+    "partition": ((("sub", _choice("count", "durfee-dist", "mode")), ("n", integer_argument)),
+                  {**_PRECISION, "--out": str}),
+    "table": ((("table", _choice("1", "2", "5", "8")),),
+              {**_PRECISION, "--fixtures": str, "--diff": None}),
+}
 
 
-def _integer(low: int | None = None, high: int | None = None):
-    """An argparse type with the integer grammar of input files.
+def _read_argv(argv: list[str]) -> dict | None:
+    """``vars(build_parser().parse_args(argv))`` for a well-formed command
+    line, read without argparse; ``None`` for anything else.
 
-    ASCII digits after an optional '-', within ``low``..``high`` when given.
+    Well-formed is a command, its positionals, and each of its options at
+    most once, as ``--opt VALUE``, ``--opt=VALUE`` or a flag, in any order,
+    with no two exclusive flags.  Help, ``--``, an abbreviated option, an
+    option's value that is empty or starts with '-' and any error are left
+    to argparse.
     """
-
-    def parse(text: str) -> int:
-        if not (text.removeprefix("-").isdigit() and text.isascii()):
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        try:
-            value = int(text)
-        except ValueError:  # int() refuses a digit string past its limit
-            raise argparse.ArgumentTypeError(f"{text!r} has too many digits") from None
-        if low is not None and value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {quoted(value, 'argument')}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {quoted(value, 'argument')}")
-        return value
-
-    return parse
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="citest",
-        description="citation indices, total-citation estimators, partition statistics",
-    )
-    common = _Parser(add_help=False)
-    # 17 significant digits identify every double
-    common.add_argument("--precision", type=_integer(0, 17), default=6,
-                        help="significant digits for real-valued output")
-    source = _Parser(add_help=False)
-    source.add_argument("file")
-    source.add_argument("--format", choices=("json", "csv", "lines"))
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_idx = sub.add_parser("indices", parents=[common, source],
-                           help="core index family for one profile")
-    style = p_idx.add_mutually_exclusive_group()
-    style.add_argument("--json", action="store_true")
-    style.add_argument("--csv", action="store_true")
-    p_idx.set_defaults(func=cmd_indices)
-
-    p_est = sub.add_parser("estimate", parents=[common, source],
-                           help="total-citation estimate from the h-core")
-    p_est.add_argument("--blind", type=_integer(), default=None, metavar="K",
-                       help="use only the top K ranks")
-    style = p_est.add_mutually_exclusive_group()
-    style.add_argument("--ladder", action="store_true",
-                       help="emit the shifted-index ladder rows 0..d+1 as CSV")
-    style.add_argument("--json", action="store_true")
-    p_est.set_defaults(func=cmd_estimate)
-
-    p_part = sub.add_parser("partition", parents=[common],
-                            help="exact partition computations")
-    p_part.add_argument("sub", choices=("count", "durfee-dist", "mode"))
-    p_part.add_argument("n", type=_integer())
-    p_part.add_argument("--out", default=None)
-    p_part.set_defaults(func=cmd_partition)
-
-    p_tab = sub.add_parser("table", parents=[common],
-                           help="reproduce a published table from fixtures")
-    p_tab.add_argument("table", choices=("1", "2", "5", "8"))
-    p_tab.add_argument("--fixtures", default=None, metavar="DIR")
-    p_tab.add_argument("--diff", action="store_true")
-    p_tab.set_defaults(func=cmd_table)
-    return parser
+    if not argv or argv[0] not in _SYNTAX:
+        return None
+    positionals, options = _SYNTAX[argv[0]]
+    args = {name[2:]: False if read is None else None for name, read in options.items()}
+    args.update(command=argv[0], precision=6)
+    texts, seen = [], set()
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                texts.append(token)
+                continue
+            name, eq, value = token.partition("=")
+            if name not in options or name in seen:
+                return None
+            seen.add(name)
+            read = options[name]
+            if read is None:  # a flag takes no '=VALUE'
+                if eq:
+                    return None
+                args[name[2:]] = True
+                continue
+            if not eq:
+                value = next(tokens, "")
+            if not value or value.startswith("-"):  # missing, empty, or option-like
+                return None
+            args[name[2:]] = read(value)
+        if len(texts) != len(positionals):
+            return None
+        for (dest, read), text in zip(positionals, texts):
+            args[dest] = read(text)
+    except ValueError:
+        return None
+    # --json excludes --csv (indices) and --ladder (estimate)
+    if args.get("json") and (args.get("csv") or args.get("ladder")):
+        return None
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    values = _read_argv(argv)
+    if values is None:
+        from ._parser import build_parser  # argparse: help, usage and every error
+
+        values = vars(build_parser().parse_args(argv))
+    args = SimpleNamespace(**values)  # read by attribute, as argparse's Namespace
+    command = {"indices": cmd_indices, "estimate": cmd_estimate,
+               "partition": cmd_partition, "table": cmd_table}[args.command]
     # fd 1 closed at start leaves sys.stdout None: a command writes to a
     # buffer instead, and one that wrote anything exits as on a closed pipe
     closed = sys.stdout is None
     if closed:
         sys.stdout = io.StringIO()
     try:
-        code = args.func(args)
+        code = command(args)
         if closed:
             return EXIT_PIPE if sys.stdout.tell() else code
         sys.stdout.flush()

@@ -79,6 +79,26 @@ def at_least(name: str, value, low: int) -> None:
         raise NegativeArgument(f"{name} must be >= {low}, got {quoted(value)}")
 
 
+def integer_argument(text: str, low: int | None = None, high: int | None = None) -> int:
+    """A command-line integer, with the integer grammar of input files.
+
+    ASCII digits after an optional '-', within ``low``..``high`` when given;
+    else ``ValueError``, worded as argparse prints it after the argument's
+    name (``invalid int value: 'x'``).
+    """
+    if not (text.removeprefix("-").isdigit() and text.isascii()):
+        raise ValueError(f"invalid int value: {text!r}")
+    try:
+        value = int(text)
+    except ValueError:  # int() refuses a digit string past its limit
+        raise ValueError(f"{text!r} has too many digits") from None
+    if low is not None and value < low:
+        raise ValueError(f"must be >= {low}, got {quoted(value, 'argument')}")
+    if high is not None and value > high:
+        raise ValueError(f"must be <= {high}, got {quoted(value, 'argument')}")
+    return value
+
+
 def shown(name: str, value) -> str:
     """``m=5``, or ``a 31-digit m`` for a value too long to echo (see ``_size``)."""
     size = _size(value)

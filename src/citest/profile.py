@@ -14,7 +14,8 @@ of the profile is unknown.
 
 from __future__ import annotations
 
-import csv
+# csv's C core: csv.reader and csv.Error are _csv's, and the csv module would load re and enum
+import _csv as csv
 import io
 from collections import Counter, namedtuple
 from collections.abc import Iterable

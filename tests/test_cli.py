@@ -5,13 +5,16 @@ import os
 import shutil
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citest import refdata
-from citest.cli import main
+from citest._parser import build_parser
+from citest.cli import _emit_row, _read_argv, main
 
 FIXTURES = str(Path(__file__).parent / "fixtures")
 
@@ -623,3 +626,145 @@ def test_estimate_ladder_csv():
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["k"] == "0" and rows[-1]["k"] == "26"
     assert rows[25]["h_k"] == "21" and rows[25]["n_h_k"] == "901"
+
+
+# ------------------------------------------------------------- the command-line reader
+# main reads a well-formed command line without argparse (_read_argv) and
+# leaves the rest to build_parser; wherever the fast reader answers, it must
+# answer as argparse does
+
+REPO = Path(__file__).parent.parent
+# each command's positionals, drawn in order, each from its own pool
+POSITIONALS = {
+    "indices": [["g.csv", "", "a=b"]],
+    "estimate": [["g.csv", "", "a=b"]],
+    "partition": [["count", "durfee-dist", "mode", "cnt"], ["0", "5", "007", "x"]],
+    "table": [["1", "2", "5", "8", "3"]],
+}
+# each option's values, from its grammar and past it; None for a flag
+OPTIONS = {
+    "--precision": ["0", "3", "17", "007", "18", "x", "\u0664", "-1"],
+    "--format": ["json", "csv", "lines", "xml", ""],
+    "--blind": ["0", "5", "x", "-1"],
+    "--out": ["o.txt", "", "a=b"],
+    "--fixtures": ["d", ""],
+    "--json": None, "--csv": None, "--ladder": None, "--diff": None,
+}
+OWN_OPTIONS = {
+    "indices": ["--precision", "--format", "--json", "--csv"],
+    "estimate": ["--precision", "--format", "--blind", "--ladder", "--json"],
+    "partition": ["--precision", "--out"],
+    "table": ["--precision", "--fixtures", "--diff"],
+}
+JUNK = ["-h", "--help", "--", "--js", "-1", "", "-", "--format=", "--json=", "--=x", "--precision"]
+
+
+@st.composite
+def _option(draw, command):
+    """``--opt VALUE`` or ``--opt=VALUE`` or a flag, mostly one of ``command``'s own."""
+    name = draw(st.sampled_from(OWN_OPTIONS.get(command, []) * 4 + list(OPTIONS)))
+    if OPTIONS[name] is None:
+        return [name]
+    value = draw(st.sampled_from(OPTIONS[name]))
+    return draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, its positionals and up to three options in any order,
+    sometimes with one junk token, repeat or stray positional inserted."""
+    command = draw(st.sampled_from([*POSITIONALS, *JUNK[:3]]))
+    words = [[draw(st.sampled_from(pool))] for pool in POSITIONALS.get(command, [])]
+    # a repeat comes from the insertion below
+    words += draw(st.lists(_option(command), max_size=3, unique_by=lambda o: o[0].partition("=")[0]))
+    argv = [command, *(token for unit in draw(st.permutations(words)) for token in unit)]
+    if draw(st.integers(0, 3)) == 0:
+        extra = draw(st.sampled_from(JUNK + argv[1:] + ["x"]))
+        argv.insert(draw(st.integers(1, len(argv))), extra)
+    return argv
+
+
+def _read_agrees(argv):
+    """The fast reading of ``argv``, after checking it against argparse's."""
+    fast = _read_argv(list(argv))
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            slow = vars(build_parser().parse_args(argv))
+    except SystemExit:  # help, usage or an error: only argparse may answer
+        slow = None
+    assert fast is None or fast == slow, argv
+    return fast
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+def test_the_fast_reader_agrees_with_argparse(argv):
+    _read_agrees(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["estimat", "g.csv"], ["estimate", "g.csv", "-h"],
+    ["estimate", "g.csv", "--js"], ["estimate", "g.csv", "--"], ["estimate", "--", "g.csv"],
+    ["estimate", "g.csv", "--ladder", "--json"], ["indices", "g.csv", "--csv", "--json"],
+    ["estimate", "g.csv", "--json", "--json"], ["estimate", "g.csv", "--blind", "3", "--blind", "4"],
+    ["indices", "g.csv", "--precision", "18"], ["indices", "g.csv", "--precision=17"],
+    ["indices", "g.csv", "--format="], ["indices", "--format", "csv", "g.csv"],
+    ["partition", "count", "--out", "--json"], ["partition", "count", "5", "--out"],
+    ["partition", "mode", "5", "--out="], ["partition", "count", "--out", "o", "5"],
+    ["partition", "count", "-2"], ["estimate", "g.csv", "--blind", "-1"], ["estimate", "g.csv", "--blind=-1"],
+    ["table", "8", "--diff="], ["table", "8", "--diff=x"], ["table", "9"],
+    ["partition", "count"], ["partition", "count", "5", "6"], ["partition", "5", "count"],
+])
+def test_the_fast_reader_agrees_with_argparse_at_the_edges(argv):
+    _read_agrees(argv)
+
+
+def test_every_golden_command_line_is_read_without_argparse():
+    cases = json.loads((REPO / "tests" / "golden" / "cases.json").read_text(encoding="utf-8"))
+    for case in cases:
+        assert _read_agrees([arg.replace("{fixtures}", FIXTURES) for arg in case["argv"]]) is not None
+
+
+def test_every_benchmark_command_line_is_read_without_argparse(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    monkeypatch.chdir(REPO)  # gen reads the fixtures from tests/fixtures
+    try:
+        import gen
+    except ImportError:
+        pytest.skip("bench/ is not importable")
+    for op in gen.cli_cycle(1, tmp_path):
+        assert _read_agrees(op.argv) is not None
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.integers(), st.text(), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(min_size=1), st.one_of(
+    _JSON_SCALARS, st.tuples(st.floats(), st.floats()), st.tuples(st.integers(), st.floats())),
+    min_size=1))
+def test_json_row_is_what_json_dump_writes(row):
+    want = {k: [round(x, 10) for x in v] if isinstance(v, tuple)
+            else round(v, 10) if isinstance(v, float) else v for k, v in row.items()}
+    out = io.StringIO()
+    _emit_row(row, "json", 6, out)
+    assert out.getvalue() == json.dumps(want, indent=2) + "\n"
+
+
+def test_a_plain_command_loads_no_argparse_re_or_enum():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    garfield = f"{FIXTURES}/garfield.csv"
+    # argv=None reads sys.argv[1:]
+    proc = subprocess.run([sys.executable, "-S", "-m", "citest.cli", "estimate", garfield],
+                          env=env, capture_output=True, check=True)
+    assert proc.stdout == (REPO / "tests" / "golden" / "garfield.estimate.out").read_bytes()
+    unused = ["argparse", "re", "enum", "locale", "gettext", "csv", "json"]
+    report = "print(*sorted(set(sys.argv[1:]) & set(sys.modules)), file=sys.stderr)"
+    code = (f"import sys\nfrom citest.cli import main\nmain(['estimate', {garfield!r}])\n"
+            f"main(['estimate', {garfield!r}, '--json'])\n{report}\n"
+            f"try:\n    main(['estimate', {garfield!r}, '--help'])\nexcept SystemExit:\n    pass\n{report}")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *unused],
+                          env=env, capture_output=True, text=True, check=True)
+    plain, after_help = proc.stderr.split("\n")[:2]
+    assert plain == ""
+    assert "argparse" in after_help.split()  # --help still reaches argparse
