@@ -5,11 +5,12 @@ counts.  Loaders and ``normalize`` accept unsorted input, and one rule
 (``_tally``) serves every format: where at most one entry in 4 is distinct
 (for ``lines`` and ``csv``, one line in 4), only the distinct ones are read
 and sorted; else every entry is, and a text format is read row by row.  So
-is a text stream that cannot seek, in either format.  A csv is counted as
-it streams, since counting its whole text would cost memory.  Zero entries
-are kept (they contribute to ``p`` but to no index).  A profile whose
-``complete`` flag is false is a rank prefix for blind estimation: the tail
-of the profile is unknown.
+is a text stream that cannot seek, in either format.  A load holds one copy
+of the entries at a time: at its peak, ``lines`` holds the tuple and one
+block of text, csv its distinct lines, and JSON its text and list while
+``json.loads`` runs.  Zero entries are kept (they contribute to ``p`` but
+to no index).  A profile whose ``complete`` flag is false is a rank prefix
+for blind estimation: the tail of the profile is unknown.
 """
 
 from __future__ import annotations
@@ -68,24 +69,39 @@ def normalize(raw: Iterable[int]) -> CitationProfile:
     Entries must be integers in 0..``MAX_CITATIONS``, in any order.  Raises
     ``NegativeCitation`` at the first negative input position, else ``ParseError``.
     """
-    return _profile(list(raw))
+    return _profile(_ints(list(raw)))
 
 
-def _profile(entries: list, name: str = "") -> CitationProfile:
-    # C-level checks cover the usual input; _name_bad_entry runs only to name
-    # a bad position.  Every entry's type is checked before any counting: a
-    # Counter would merge True and 1.0 into the key 1.
+def _ints(entries: list) -> list:
+    # Every entry's type is checked before any counting, here and not in
+    # _profile, which the text formats call with ints: a Counter would merge
+    # True and 1.0 into the key 1.
     if not set(map(type, entries)) <= {int}:
         _name_bad_entry(entries)
+    return entries
+
+
+def _profile(entries: list[int], name: str = "") -> CitationProfile:
     # Input in order, either way, sorts in linear time, and a sample without a
     # repeat foretells a refused tally; about 32 evenly spaced entries tell.
     sample = entries[:: len(entries) // 32 or 1]
     ordered = sorted(sample)
     sort_whole = sample == ordered or sample[::-1] == ordered or len(set(sample)) == len(sample)
     counts = None if sort_whole else _tally(entries)
-    profile = _ranked(entries if counts is None else counts, name, counts)
-    if profile is None:
+    values = entries if counts is None else list(counts)
+    # C-level checks cover the usual input; _name_bad_entry runs only to name
+    # a bad position, so it runs while ``entries`` is in its input order
+    # (``_ranked`` sorts a list that is not tallied in place)
+    if min(values, default=0) < 0:
         _name_bad_entry(entries)
+    # A tallied list is emptied before the tuple is built.  Every caller
+    # passes a list of its own, and clearing frees its entries even where the
+    # caller's frame still holds the list (CPython before 3.11 keeps a call's
+    # arguments on the caller's stack until it returns).
+    if counts is not None:
+        entries.clear()
+    profile = _ranked(values, name, counts)
+    if profile is None:
         raise ParseError(None, f"citation count above the maximum of {MAX_CITATIONS}")
     return profile
 
@@ -109,16 +125,17 @@ def _tally(items: Iterable) -> Counter | None:
     return counts if 4 * len(counts) <= counts.total() else None
 
 
-def _ranked(values: Iterable[int], name: str, times: dict[int, int] | None = None) -> CitationProfile | None:
-    """The profile of ``values`` sorted, each repeated ``times[value]`` times if given.
+def _ranked(values: list[int], name: str, times: dict[int, int] | None = None) -> CitationProfile | None:
+    """The profile of ``values``, sorted in place, each repeated ``times[value]`` times if given.
 
     ``None`` if a value is outside 0..``MAX_CITATIONS``.
     """
-    order = sorted(values, reverse=True)
-    if order and not (order[-1] >= 0 and order[0] <= MAX_CITATIONS):
+    values.sort(reverse=True)
+    if values and not (values[-1] >= 0 and values[0] <= MAX_CITATIONS):
         return None
+    order = values
     if times is not None:
-        order = chain.from_iterable(map(repeat, order, map(times.__getitem__, order)))
+        order = chain.from_iterable(map(repeat, values, map(times.__getitem__, values)))
     return CitationProfile(citations=tuple(order), name=name)
 
 
@@ -140,12 +157,12 @@ def _count(line: int | None, text: str) -> int:
     raise ParseError(line, f"expected a decimal integer, got {quoted(text)}")
 
 
-def _tallied(pairs: Iterable[tuple[int, str]], name: str = "") -> CitationProfile | None:
-    """The profile of these ``(times, text)`` pairs, or ``None`` if in doubt.
+def _tallied(pairs: Iterable[tuple[int, str]]) -> dict[int, int] | None:
+    """The count of each value in these ``(times, text)`` pairs, or ``None`` if in doubt.
 
     Each text stands for ``times`` entries and is read once.  ``None`` (a bad
-    or negative count, or one past ``int()``'s limit or ``MAX_CITATIONS``)
-    leaves the input to the per-row scan, which words the error.
+    count, or one past ``int()``'s limit) leaves the input to the per-row
+    scan, which words the error; so does a tally that ``_ranked`` refuses.
     """
     counts: dict[int, int] = {}
     try:
@@ -155,17 +172,36 @@ def _tallied(pairs: Iterable[tuple[int, str]], name: str = "") -> CitationProfil
                 counts[value] = counts.get(value, 0) + times  # '007' and '7' are one value
     except ParseError:
         return None
-    return _ranked(counts, name, counts)
+    return counts
+
+
+# characters per read of a ``lines`` stream; a read is at least as long as
+# the partial line it carries, so a long line still costs linear time
+_BLOCK = 8192
+
+
+def _line_blocks(first: str, rest: io.TextIOBase) -> Iterable[list[str]]:
+    # the lines of first + rest.read(), as split("\n") gives them, a block at
+    # a time, so that no list of every line is held
+    tail = first
+    while block := rest.read(max(_BLOCK, len(tail))):
+        lines = (tail + block).split("\n")
+        tail = lines.pop()  # a line the next block may go on
+        yield lines
+    yield tail.split("\n")  # ``first`` alone may end in "\n"
 
 
 def _lines_tally(first: str, rest: io.TextIOBase) -> CitationProfile | None:
-    # split from the whole text: counting the lines as they stream loads slower
-    lines = _tally((first + rest.read()).split("\n"))
-    return None if lines is None else _tallied(zip(lines.values(), lines))
+    # counting holds the distinct lines and one block; both go before the
+    # tuple is built
+    lines = _tally(chain.from_iterable(_line_blocks(first, rest)))
+    counts = None if lines is None else _tallied(zip(lines.values(), lines))
+    del lines
+    return None if counts is None else _ranked(list(counts), "", counts)
 
 
 def _lines_scan(first: str, rest: io.TextIOBase) -> CitationProfile:
-    lines = enumerate((first + rest.read()).split("\n"), start=1)
+    lines = enumerate(chain.from_iterable(_line_blocks(first, rest)), start=1)
     return _profile([_count(lineno, text) for lineno, line in lines if (text := line.strip())])
 
 
@@ -218,9 +254,13 @@ def _csv_tally(first: str, rest: io.TextIOBase) -> CitationProfile | None:
     reader = csv.reader(chain(_uncommented(lines), ("\n",)))
     pad = [""] * (at + 1)  # a short row or a blank line reads as an empty cell
     cells = map(itemgetter(at), map(add, reader, repeat(pad)))
-    pairs = chain([(1, (meta + pad)[at])], zip(lines.values(), cells))
-    profile = _tallied(pairs, name)
-    return profile if reader.line_num == len(lines) else None
+    counts = _tallied(chain([(1, (meta + pad)[at])], zip(lines.values(), cells)))
+    if counts is None or reader.line_num != len(lines):
+        return None
+    # at its peak this holds the distinct lines; they go before the tuple
+    # is built
+    del lines, reader, cells
+    return _ranked(list(counts), name, counts)
 
 
 def _csv_scan(first: str, rest: io.TextIOBase) -> CitationProfile:
@@ -233,12 +273,12 @@ def _csv_scan(first: str, rest: io.TextIOBase) -> CitationProfile:
     return _profile(values, name)
 
 
-def _load_json(first: str, rest: io.TextIOBase) -> CitationProfile:
+def _load_json(stream: io.TextIOBase) -> CitationProfile:
     import json  # imported here: no other format needs it
 
     try:
-        # one-line JSON leaves ``rest`` empty, and adding "" copies nothing
-        payload = json.loads(first + rest.read())
+        # the text lives only while it is decoded
+        payload = json.loads(stream.read().removeprefix("\ufeff"))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from None
     except RecursionError:
@@ -247,13 +287,13 @@ def _load_json(first: str, rest: io.TextIOBase) -> CitationProfile:
         raise ParseError(None, _TOO_LARGE) from None
     if not isinstance(payload, dict) or "citations" not in payload:
         raise ParseError(1, "JSON object must contain a 'citations' array")
-    raw = payload["citations"]
-    if not isinstance(raw, list):
+    if not isinstance(payload["citations"], list):
         raise ParseError(1, "'citations' must be an array of integers")
     name = payload.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError(1, "'name' must be a string")
-    return _profile(raw, name or "")
+    # popped: the list is _profile's to empty once it is tallied
+    return _profile(_ints(payload.pop("citations")), name or "")
 
 
 def load_profile(stream: io.TextIOBase, format: str) -> CitationProfile:
@@ -264,9 +304,9 @@ def load_profile(stream: io.TextIOBase, format: str) -> CitationProfile:
     formats = ["csv", "json", "lines"]
     if format not in formats:
         raise ValueError(f"unknown format {quoted(format)}; expected one of {formats}")
-    first = stream.readline().removeprefix("\ufeff")
     if format == "json":
-        return _load_json(first, stream)
+        return _load_json(stream)
+    first = stream.readline().removeprefix("\ufeff")
     tally, scan = (_csv_tally, _csv_scan) if format == "csv" else (_lines_tally, _lines_scan)
     # Anything the tally refuses or is unsure of goes back to where it
     # started for the scan, so it takes only a stream that can tell its place.

@@ -1,7 +1,10 @@
 import csv
+import gc
 import io
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -407,8 +410,8 @@ def test_tally_matches_per_entry_validation(raw):
 # One rule counts every format: a tally is kept where one entry in 4 or fewer
 # is distinct (a line, for lines and csv), else every entry is read.  A text
 # stream that cannot seek, in either text format, goes straight to the per-row
-# scan, which is the reference.  csv is counted as it streams, and lines from
-# their whole text: counting a csv's whole text costs memory.
+# scan, which is the reference.  csv is counted as it streams, and lines a
+# block at a time, so that neither holds a list of every line.
 
 class _Unseekable(io.StringIO):
     def seekable(self):
@@ -656,3 +659,101 @@ def test_load_csv_tally_words_a_missing_citations_column(monkeypatch):
     assert expected == (ParseError, 2, "line 2: CSV header must contain a 'citations' column")
     _no_scan(monkeypatch)
     assert _loaded(io.StringIO(text), "csv") == expected
+
+
+# ------------------------------------------------------------ one copy of the entries
+# A lines file is read a block at a time, a tallied JSON list is dropped
+# before the tuple is built, and a csv drops its line tally before it.
+
+@settings(max_examples=300, deadline=None)
+@given(_file_lines() | _repeated_lines(), st.integers(1, 7), st.booleans())
+def test_lines_read_in_blocks_match_a_split_of_the_whole_text(drawn, block, bom):
+    # blocks of 1-7 characters put a block boundary at every place in a line,
+    # a '\r\n' and a byte-order mark included; lines longer than a block
+    # ('1' * 5000) make the reads grow
+    _, text = drawn
+    lines = text.split("\n")
+    expected = _outcome(_reference_load, lines, 1)
+    marked = "\ufeff" + text if bom else text
+    profile = citest.profile
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profile, "_BLOCK", block)
+
+        def read(path):
+            stream = io.StringIO(marked)
+            return path(stream.readline().removeprefix("\ufeff"), stream)
+
+        assert [line for block in read(profile._line_blocks) for line in block] == lines
+        assert _outcome(read, profile._lines_scan) == expected
+        tallied = read(profile._lines_tally)  # None: refused, or left to the scan
+        assert tallied is None or tallied.citations == expected
+        for stream in io.StringIO(marked), _Unseekable(marked):
+            assert _outcome(load_profile, stream, "lines") == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "lines"])
+def test_load_holds_one_copy_of_the_entries(fmt):
+    # the stream is made before tracing starts, so the peak is the loader's
+    # own; a tally that kept its list beside the tuple would hold 2x
+    load_profile(io.StringIO(_rendered(fmt, [1, 1, 1, 1])), fmt)  # first-call allocations
+    stream = io.StringIO(_rendered(fmt, SHUFFLED))
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        profile = load_profile(stream, fmt)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert profile.citations == tuple(sorted(SHUFFLED, reverse=True))
+    assert peak <= 2 * sys.getsizeof(profile.citations)
+
+
+def test_load_csv_tally_leaves_a_csv_error_to_the_scan(monkeypatch):
+    # a field past the csv reader's size limit fails in the tally's reader;
+    # the scan rereads the text and words the error at its line
+    calls = []
+
+    def spied(name):
+        path = getattr(citest.profile, name)
+
+        def run(first, rest):
+            calls.append(name)
+            try:
+                return path(first, rest)
+            except Exception as exc:
+                calls.append(type(exc))
+                raise
+
+        monkeypatch.setattr(citest.profile, name, run)
+
+    spied("_csv_tally")
+    spied("_csv_scan")
+    text = "citations\n" + "5\n" * 40 + '"' + "9" * 200000 + '"\n'
+    with pytest.raises(ParseError) as err:
+        load_profile(io.StringIO(text), "csv")
+    assert str(err.value) == "line 42: field larger than field limit (131072)"
+    assert calls == ["_csv_tally", csv.Error, "_csv_scan", ParseError]
+
+
+@pytest.mark.parametrize("fmt, head", [("lines", b""), ("csv", b"citations\n")])
+def test_load_words_a_bad_line_before_later_text_that_is_not_utf8(fmt, head):
+    # both scans read a stream a piece at a time, so a bad line is worded
+    # before bytes that are not UTF-8 some 4x10^4 bytes further on are decoded
+    data = head + b"1\n2\nx\n" + b"3\n" * 20000 + b"\xff\n"
+    line = 3 + head.count(b"\n")
+    for stream in io.BytesIO(data), _UnseekableBytes(data):
+        with pytest.raises(ParseError) as err:
+            load_profile(io.TextIOWrapper(stream, encoding="utf-8"), fmt)
+        assert str(err.value) == f"line {line}: expected a decimal integer, got 'x'"
+    with pytest.raises(UnicodeDecodeError):  # with no bad line, the decoding fails
+        load_profile(io.TextIOWrapper(io.BytesIO(data.replace(b"x", b"4")), encoding="utf-8"), fmt)
+
+
+class _UnseekableBytes(io.BytesIO):
+    def seekable(self):
+        return False
