@@ -1,9 +1,12 @@
 """The argparse reading of the command line: help, usage and every error.
 
 ``citest.cli.main`` reads a well-formed command line itself and comes here
-only for the rest, so only this module imports ``argparse``.  It imports
-nothing from ``citest.cli``: under ``python -m citest.cli`` that module runs
-as ``__main__``, and importing it again would run it twice.
+only for the rest, so only this module imports ``argparse``.  The grammar
+is not stated here: ``build_parser`` builds the parser from the command
+table that ``main`` passes in, ``citest.cli._SYNTAX``, which ``main``'s own
+reader reads too.  This module imports nothing from ``citest.cli``: under
+``python -m citest.cli`` that module runs as ``__main__``, and importing it
+again would run it twice.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import os
 import sys
 
-from .errors import integer_argument, quoted
+from .errors import quoted
 
 
 class _Formatter(argparse.HelpFormatter):
@@ -56,56 +59,34 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-def _integer(low: int | None = None, high: int | None = None):
-    """An argparse type reading ``integer_argument``'s grammar within ``low``..``high``."""
+def _argparse_type(read):
+    """``read``, with its ``ValueError`` raised as argparse's ``ArgumentTypeError``."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            return integer_argument(text, low, high)
+            return read(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(syntax) -> argparse.ArgumentParser:
+    """argparse's parser for ``syntax``, the command table ``citest.cli._SYNTAX``."""
     parser = _Parser(
         prog="citest",
         description="citation indices, total-citation estimators, partition statistics",
     )
-    common = _Parser(add_help=False)
-    # 17 significant digits identify every double
-    common.add_argument("--precision", type=_integer(0, 17), default=6,
-                        help="significant digits for real-valued output")
-    source = _Parser(add_help=False)
-    source.add_argument("file")
-    source.add_argument("--format", choices=("json", "csv", "lines"))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_idx = sub.add_parser("indices", parents=[common, source],
-                           help="core index family for one profile")
-    style = p_idx.add_mutually_exclusive_group()
-    style.add_argument("--json", action="store_true")
-    style.add_argument("--csv", action="store_true")
-
-    p_est = sub.add_parser("estimate", parents=[common, source],
-                           help="total-citation estimate from the h-core")
-    p_est.add_argument("--blind", type=_integer(), default=None, metavar="K",
-                       help="use only the top K ranks")
-    style = p_est.add_mutually_exclusive_group()
-    style.add_argument("--ladder", action="store_true",
-                       help="emit the shifted-index ladder rows 0..d+1 as CSV")
-    style.add_argument("--json", action="store_true")
-
-    p_part = sub.add_parser("partition", parents=[common],
-                            help="exact partition computations")
-    p_part.add_argument("sub", choices=("count", "durfee-dist", "mode"))
-    p_part.add_argument("n", type=_integer())
-    p_part.add_argument("--out", default=None)
-
-    p_tab = sub.add_parser("table", parents=[common],
-                           help="reproduce a published table from fixtures")
-    p_tab.add_argument("table", choices=("1", "2", "5", "8"))
-    p_tab.add_argument("--fixtures", default=None, metavar="DIR")
-    p_tab.add_argument("--diff", action="store_true")
+    for command, (_, help_line, arguments) in syntax.items():
+        command_parser = sub.add_parser(command, help=help_line)
+        for argument in arguments:
+            if isinstance(argument, list):
+                group, members = command_parser.add_mutually_exclusive_group(), argument
+            else:
+                group, members = command_parser, [argument]
+            for name, keywords in members:
+                if "type" in keywords:
+                    keywords = {**keywords, "type": _argparse_type(keywords["type"])}
+                group.add_argument(name, **keywords)
     return parser

@@ -7,9 +7,11 @@ means ``table --diff`` found mismatches.  A failure prints one
 ``_FAILURES`` gives its exception; a command that writes to a closed stdout
 exits ``EXIT_PIPE`` quietly.  All output is deterministic for identical inputs.
 
-``main`` reads a well-formed command line itself (``_read_argv``), so a
-plain command loads no argparse; help, usage and every error come from
-argparse, through ``citest._parser``.
+The command grammar is stated once, in ``_SYNTAX``, and read twice: ``main``
+reads a well-formed command line from it itself (``_read_argv``), so a plain
+command loads no argparse; for help, usage and every error it hands the
+table to ``citest._parser.build_parser``, which builds argparse's parser
+from it.
 """
 
 from __future__ import annotations
@@ -339,79 +341,95 @@ def cmd_table(args) -> int:
 
 # ------------------------------------------------------------- driver
 
-def _choice(*choices):
-    def read(text: str) -> str:
-        if text not in choices:
-            raise ValueError(text)
-        return text
-
-    return read
-
-
-# each command's positionals as (dest, read), and its options as name ->
-# read, ``None`` for a flag; an option's dest is its name without '--'.  A
-# read raises ValueError on a value that argparse would refuse
-_FORMAT = _choice("json", "csv", "lines")
-_PRECISION = {"--precision": lambda text: integer_argument(text, 0, 17)}
+# every command's first option; 17 significant digits identify every double
+_PRECISION_ARGUMENT = ("--precision", dict(type=lambda text: integer_argument(text, 0, 17),
+                                           default=6, help="significant digits for real-valued output"))
+# then, for a command that reads a profile, its input
+_INPUT_ARGUMENTS = [("file", {}), ("--format", dict(choices=("json", "csv", "lines")))]
+# the command grammar, read by _read_argv and by _parser.build_parser: each
+# command's handler, help line and arguments, in the order argparse adds
+# them, each as add_argument's name and keywords; a nested list is a
+# mutually exclusive group.  A type raises ValueError on text it refuses
 _SYNTAX = {
-    "indices": ((("file", str),),
-                {**_PRECISION, "--format": _FORMAT, "--json": None, "--csv": None}),
-    "estimate": ((("file", str),),
-                 {**_PRECISION, "--format": _FORMAT, "--blind": integer_argument,
-                  "--ladder": None, "--json": None}),
-    "partition": ((("sub", _choice("count", "durfee-dist", "mode")), ("n", integer_argument)),
-                  {**_PRECISION, "--out": str}),
-    "table": ((("table", _choice("1", "2", "5", "8")),),
-              {**_PRECISION, "--fixtures": str, "--diff": None}),
+    "indices": (cmd_indices, "core index family for one profile", [
+        _PRECISION_ARGUMENT, *_INPUT_ARGUMENTS,
+        [("--json", dict(action="store_true")), ("--csv", dict(action="store_true"))],
+    ]),
+    "estimate": (cmd_estimate, "total-citation estimate from the h-core", [
+        _PRECISION_ARGUMENT, *_INPUT_ARGUMENTS,
+        ("--blind", dict(type=integer_argument, metavar="K", help="use only the top K ranks")),
+        [("--ladder", dict(action="store_true",
+                           help="emit the shifted-index ladder rows 0..d+1 as CSV")),
+         ("--json", dict(action="store_true"))],
+    ]),
+    "partition": (cmd_partition, "exact partition computations", [
+        _PRECISION_ARGUMENT,
+        ("sub", dict(choices=("count", "durfee-dist", "mode"))),
+        ("n", dict(type=integer_argument)),
+        ("--out", {}),
+    ]),
+    "table": (cmd_table, "reproduce a published table from fixtures", [
+        _PRECISION_ARGUMENT,
+        ("table", dict(choices=("1", "2", "5", "8"))),
+        ("--fixtures", dict(metavar="DIR")),
+        ("--diff", dict(action="store_true")),
+    ]),
 }
 
 
 def _read_argv(argv: list[str]) -> dict | None:
-    """``vars(build_parser().parse_args(argv))`` for a well-formed command
-    line, read without argparse; ``None`` for anything else.
+    """``vars(build_parser(_SYNTAX).parse_args(argv))`` for a well-formed
+    command line, read from the same table without argparse; else ``None``.
 
     Well-formed is a command, its positionals, and each of its options at
     most once, as ``--opt VALUE``, ``--opt=VALUE`` or a flag, in any order,
-    with no two exclusive flags.  Help, ``--``, an abbreviated option, an
-    option's value that is empty or starts with '-' and any error are left
-    to argparse.
+    with at most one option of each exclusive group.  Help, ``--``, an
+    abbreviated option, an option's value that is empty or starts with '-'
+    and any error are left to argparse.
     """
     if not argv or argv[0] not in _SYNTAX:
         return None
-    positionals, options = _SYNTAX[argv[0]]
-    args = {name[2:]: False if read is None else None for name, read in options.items()}
-    args.update(command=argv[0], precision=6)
-    texts, seen = [], set()
+    arguments = _SYNTAX[argv[0]][2]
+    groups = [argument for argument in arguments if isinstance(argument, list)]
+    # name -> keywords; a group holds options only, so the positionals keep their order
+    grammar = dict([a for a in arguments if not isinstance(a, list)] + sum(groups, []))
+    positionals = [name for name in grammar if not name.startswith("-")]
+    args = {name[2:]: keywords.get("default", False if "action" in keywords else None)
+            for name, keywords in grammar.items() if name.startswith("-")}
+    args["command"] = argv[0]
+    texts, seen, values = [], set(), []
     tokens = iter(argv[1:])
-    try:
-        for token in tokens:
-            if not token.startswith("-"):
-                texts.append(token)
-                continue
-            name, eq, value = token.partition("=")
-            if name not in options or name in seen:
-                return None
-            seen.add(name)
-            read = options[name]
-            if read is None:  # a flag takes no '=VALUE'
-                if eq:
-                    return None
-                args[name[2:]] = True
-                continue
-            if not eq:
-                value = next(tokens, "")
-            if not value or value.startswith("-"):  # missing, empty, or option-like
-                return None
-            args[name[2:]] = read(value)
-        if len(texts) != len(positionals):
+    for token in tokens:
+        if not token.startswith("-"):
+            texts.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in grammar or name in seen:
             return None
-        for (dest, read), text in zip(positionals, texts):
-            args[dest] = read(text)
-    except ValueError:
+        seen.add(name)
+        if "action" in grammar[name]:  # a flag takes no '=VALUE'
+            if eq:
+                return None
+            args[name[2:]] = True
+            continue
+        if not eq:
+            value = next(tokens, "")
+        if not value or value.startswith("-"):  # missing, empty, or option-like
+            return None
+        values.append((name[2:], grammar[name], value))
+    if len(texts) != len(positionals):
         return None
-    # --json excludes --csv (indices) and --ladder (estimate)
-    if args.get("json") and (args.get("csv") or args.get("ladder")):
+    if any(len(seen.intersection(name for name, _ in group)) > 1 for group in groups):
         return None
+    values += [(dest, grammar[dest], text) for dest, text in zip(positionals, texts)]
+    for dest, keywords, text in values:
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        args[dest] = value
     return args
 
 
@@ -421,17 +439,15 @@ def main(argv=None) -> int:
     if values is None:
         from ._parser import build_parser  # argparse: help, usage and every error
 
-        values = vars(build_parser().parse_args(argv))
+        values = vars(build_parser(_SYNTAX).parse_args(argv))
     args = SimpleNamespace(**values)  # read by attribute, as argparse's Namespace
-    command = {"indices": cmd_indices, "estimate": cmd_estimate,
-               "partition": cmd_partition, "table": cmd_table}[args.command]
     # fd 1 closed at start leaves sys.stdout None: a command writes to a
     # buffer instead, and one that wrote anything exits as on a closed pipe
     closed = sys.stdout is None
     if closed:
         sys.stdout = io.StringIO()
     try:
-        code = command(args)
+        code = _SYNTAX[args.command][0](args)
         if closed:
             return EXIT_PIPE if sys.stdout.tell() else code
         sys.stdout.flush()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from citest import refdata
 from citest._parser import build_parser
-from citest.cli import _emit_row, _read_argv, main
+from citest.cli import _SYNTAX, _emit_row, _read_argv, main
 
 FIXTURES = str(Path(__file__).parent / "fixtures")
 
@@ -629,8 +629,9 @@ def test_estimate_ladder_csv():
 
 
 # ------------------------------------------------------------- the command-line reader
-# main reads a well-formed command line without argparse (_read_argv) and
-# leaves the rest to build_parser; wherever the fast reader answers, it must
+# main reads a well-formed command line from the command table without
+# argparse (_read_argv) and leaves the rest to build_parser(_SYNTAX), the
+# same table read by argparse; wherever the fast reader answers, it must
 # answer as argparse does
 
 REPO = Path(__file__).parent.parent
@@ -650,11 +651,12 @@ OPTIONS = {
     "--fixtures": ["d", ""],
     "--json": None, "--csv": None, "--ladder": None, "--diff": None,
 }
+# each command's options, in the table's order, from the table itself
 OWN_OPTIONS = {
-    "indices": ["--precision", "--format", "--json", "--csv"],
-    "estimate": ["--precision", "--format", "--blind", "--ladder", "--json"],
-    "partition": ["--precision", "--out"],
-    "table": ["--precision", "--fixtures", "--diff"],
+    command: [name for argument in arguments
+              for name, _ in (argument if isinstance(argument, list) else [argument])
+              if name.startswith("-")]
+    for command, (_, _, arguments) in _SYNTAX.items()
 }
 JUNK = ["-h", "--help", "--", "--js", "-1", "", "-", "--format=", "--json=", "--=x", "--precision"]
 
@@ -689,7 +691,7 @@ def _read_agrees(argv):
     fast = _read_argv(list(argv))
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            slow = vars(build_parser().parse_args(argv))
+            slow = vars(build_parser(_SYNTAX).parse_args(argv))
     except SystemExit:  # help, usage or an error: only argparse may answer
         slow = None
     assert fast is None or fast == slow, argv
@@ -700,6 +702,15 @@ def _read_agrees(argv):
 @given(_command_lines())
 def test_the_fast_reader_agrees_with_argparse(argv):
     _read_agrees(argv)
+
+
+def test_the_fuzz_draws_from_every_argument_in_the_table():
+    # a command or option added to the table is drawn only once it has a pool
+    assert set(POSITIONALS) == set(_SYNTAX)
+    assert set(OPTIONS) == {name for names in OWN_OPTIONS.values() for name in names}
+    for command, (_, _, arguments) in _SYNTAX.items():
+        own = [argument for argument in arguments if not isinstance(argument, list)]
+        assert len(POSITIONALS[command]) == sum(not name.startswith("-") for name, _ in own)
 
 
 @pytest.mark.parametrize("argv", [
