@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, formatter_class=_Formatter, **kwargs):
         super().__init__(*args, formatter_class=formatter_class, **kwargs)
 
+    def print_help(self, file=None):
+        # argparse's passes over a failed write, and writes to stderr when fd 1
+        # is closed (sys.stdout None); here both raise as a closed pipe does,
+        # and a pipe whose reader is gone fails at the flush, not at exit
+        if (file or sys.stdout) is None:
+            raise BrokenPipeError
+        print(self.format_help(), end="", file=file, flush=True)
+
     def parse_known_args(self, args=None, namespace=None):
         self.raw_args = sys.argv[1:] if args is None else list(args)
         return super().parse_known_args(self.raw_args, namespace)

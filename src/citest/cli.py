@@ -4,8 +4,9 @@
 ``estimate`` and tables 2 and 5 off another, ``_estimate_row``.  Exit code 1
 means ``table --diff`` found mismatches.  A failure prints one
 ``citest: <label>: <message>`` line on stderr and exits with the code that
-``_FAILURES`` gives its exception; a command that writes to a closed stdout
-exits ``EXIT_PIPE`` quietly.  All output is deterministic for identical inputs.
+``_FAILURES`` gives its exception; a command, or help, that writes to a closed
+stdout exits ``EXIT_PIPE`` quietly.  A ``cmd_*`` handler writes only to the
+stream ``main`` hands it.  Output is deterministic for identical inputs.
 
 The command grammar is stated once, in ``_SYNTAX``, and read twice: ``main``
 reads a well-formed command line from it itself (``_read_argv``), so a plain
@@ -176,11 +177,11 @@ def _indices_row(profile, name) -> dict:
     }
 
 
-def cmd_indices(args) -> int:
+def cmd_indices(args, out) -> int:
     profile = _load(args.file, args.format)
     row = _pick(_indices_row(profile, profile.name), _INDICES)
     style = "json" if args.json else ("csv" if args.csv else "plain")
-    _emit_row(row, style, args.precision, sys.stdout)
+    _emit_row(row, style, args.precision, out)
     return 0
 
 
@@ -221,24 +222,22 @@ def _estimate_row(subject, name) -> dict:
     return row
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args, out) -> int:
     profile = _load(args.file, args.format)
     subject = profile if args.blind is None else truncate_head(profile, args.blind)
     row = _estimate_row(subject, profile.name)
     if args.ladder:
         rows = [_pick(ladder_row._asdict(), _LADDER) for ladder_row in row["ladder"]]
-        _emit_table(rows, args.precision, sys.stdout)
+        _emit_table(rows, args.precision, out)
     else:
         columns = _ESTIMATE_FULL if subject.complete else _ESTIMATE_BLIND
-        _emit_row(_pick(row, columns), "json" if args.json else "plain", args.precision, sys.stdout)
+        _emit_row(_pick(row, columns), "json" if args.json else "plain", args.precision, out)
     return 0
 
 
 # ------------------------------------------------------------- partition
 
-def cmd_partition(args) -> int:
-    # the whole output is built first: a failing command leaves --out alone
-    out = io.StringIO()
+def cmd_partition(args, out) -> int:
     if args.sub == "count":
         out.write(f"{partition_count(args.n)}\n")
     elif args.sub == "durfee-dist":
@@ -260,11 +259,6 @@ def cmd_partition(args) -> int:
         if dist is not None:
             tie = " (tied)" if dist.mode_tied else ""
             out.write(f"exact {dist.mode}{tie}\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out.getvalue())
-    else:
-        sys.stdout.write(out.getvalue())
     return 0
 
 
@@ -321,7 +315,7 @@ def _diff_report(table_id, rows, out) -> bool:
     return all_ok
 
 
-def cmd_table(args) -> int:
+def cmd_table(args, out) -> int:
     if args.table == "8":
         rows = _table8_rows()
     else:
@@ -333,8 +327,8 @@ def cmd_table(args) -> int:
             rows = [_pick(_indices_row(p, name), _TABLE1) for name, p in profiles.items()]
         else:
             rows = [_pick(_estimate_row(p, name), _TABLE2) for name, p in profiles.items()]
-    _emit_table(rows, args.precision, sys.stdout)
-    if args.diff and not _diff_report(args.table, rows, sys.stdout):
+    _emit_table(rows, args.precision, out)
+    if args.diff and not _diff_report(args.table, rows, out):
         return EXIT_DIFF
     return 0
 
@@ -435,37 +429,35 @@ def _read_argv(argv: list[str]) -> dict | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    values = _read_argv(argv)
-    if values is None:
-        from ._parser import build_parser  # argparse: help, usage and every error
-
-        values = vars(build_parser(_SYNTAX).parse_args(argv))
-    args = SimpleNamespace(**values)  # read by attribute, as argparse's Namespace
-    # fd 1 closed at start leaves sys.stdout None: a command writes to a
-    # buffer instead, and one that wrote anything exits as on a closed pipe
-    closed = sys.stdout is None
-    if closed:
-        sys.stdout = io.StringIO()
     try:
-        code = _SYNTAX[args.command][0](args)
-        if closed:
-            return EXIT_PIPE if sys.stdout.tell() else code
-        sys.stdout.flush()
+        values = _read_argv(argv)
+        if values is None:
+            from ._parser import build_parser  # argparse: help, usage and every error
+
+            values = vars(build_parser(_SYNTAX).parse_args(argv))
+        path = values.get("out")
+        # --out is written from a buffer, so that a failing command leaves the file alone
+        out = io.StringIO() if path or sys.stdout is None else sys.stdout
+        code = _SYNTAX[values["command"]][0](SimpleNamespace(**values), out)
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(out.getvalue())
+        elif sys.stdout is None:  # fd 1 closed at start: output there exits as on a closed pipe
+            return EXIT_PIPE if out.tell() else code
+        out.flush()
         return code
     except BrokenPipeError:
-        # stdout's reader is gone; point the fd at devnull so that the
-        # interpreter's final flush of what is still buffered stays quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # stdout's reader is gone, or fd 1 is closed: point a live stdout's fd at
+        # devnull, so that the final flush of what is still buffered stays quiet
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_PIPE
     except tuple(_FAILURES) as exc:
         code, label = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
         print(f"citest: {label}: {exc}", file=sys.stderr)
         return code
-    finally:
-        if closed:
-            sys.stdout = None
 
 
 if __name__ == "__main__":

@@ -368,6 +368,17 @@ def test_estimate_blind_one_rank_short_names_the_ladder_row(capsys):
 
 
 GARFIELD = ["estimate", f"{FIXTURES}/garfield.csv"]
+GOLDEN = Path(__file__).parent / "golden"
+# usage for a missing argument at width 80, as test_golden's _help_golden picks it
+USAGE_ESTIMATE = GOLDEN / ("usage.estimate.py313.err" if sys.version_info >= (3, 13)
+                           else "usage.estimate.err")
+
+
+def test_estimate_blind_whole_profile_is_the_full_output():
+    # garfield has p = 106: a prefix of every rank is the complete profile
+    golden = (GOLDEN / "garfield.estimate.out").read_text(encoding="utf-8")
+    assert run(*GARFIELD, "--blind", "106") == (0, golden)
+    assert "ranks_consumed" not in golden and "cap_delta_b" in golden
 
 
 @pytest.mark.parametrize("stdout, unbuffered, args, expected", [
@@ -379,12 +390,22 @@ GARFIELD = ["estimate", f"{FIXTURES}/garfield.csv"]
         b"citest: insufficient prefix: prefix of 10 ranks is insufficient to certify"
         b" the h-index; rank 11 (at minimum) is required\n"
     ))),
-], ids=["buffered", "unbuffered", "closed_fd", "closed_fd_out_file", "closed_fd_failure"])
+    ("pipe", None, ["--help"], (141, b"")),
+    ("pipe", "1", ["--help"], (141, b"")),
+    ("closed", None, ["--help"], (141, b"")),
+    ("pipe", None, ["estimate", "--help"], (141, b"")),
+    ("pipe", "1", ["estimate", "--help"], (141, b"")),
+    ("closed", None, ["estimate", "--help"], (141, b"")),
+    ("closed", None, ["estimate"], (2, USAGE_ESTIMATE.read_bytes())),
+], ids=["buffered", "unbuffered", "closed_fd", "closed_fd_out_file", "closed_fd_failure",
+        "help_buffered", "help_unbuffered", "help_closed_fd", "estimate_help_buffered",
+        "estimate_help_unbuffered", "estimate_help_closed_fd", "closed_fd_usage_error"])
 def test_closed_stdout_exits_141_quietly(tmp_path, stdout, unbuffered, args, expected):
     # a pipe whose reader is gone fails a buffered stdout at the final flush,
     # an unbuffered one at the write; fd 1 closed before exec leaves
-    # sys.stdout None, and a command that writes nothing there exits as usual
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    # sys.stdout None, and a command that writes nothing there exits as usual;
+    # help too, which argparse alone would pass over or write to stderr
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "COLUMNS")}
     env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
@@ -401,6 +422,23 @@ def test_closed_stdout_exits_141_quietly(tmp_path, stdout, unbuffered, args, exp
     assert (proc.returncode, proc.stderr) == expected
     if "--out" in args:
         assert (tmp_path / "F").read_text() == "42\n"
+
+
+def test_closed_stdout_in_process(tmp_path, capsys, monkeypatch):
+    # fd 1 closed at start leaves sys.stdout None; main buffers the output
+    # and never assigns sys.stdout itself
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(GARFIELD) == 141
+    path = tmp_path / "F"
+    assert main(["partition", "count", "10", "--out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == "42\n"
+    assert main([*GARFIELD, "--blind", "10"]) == 4
+    assert main(["--help"]) == 141
+    assert sys.stdout is None
+    assert capsys.readouterr().err == (
+        "citest: insufficient prefix: prefix of 10 ranks is insufficient to certify"
+        " the h-index; rank 11 (at minimum) is required\n"
+    )
 
 
 def test_estimate_ladder_on_a_flat_core_skips_the_error_metrics(tmp_path, capsys):

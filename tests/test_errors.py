@@ -91,7 +91,7 @@ EMPTY = normalize([])
     (lambda n: count_by_durfee(n), ResourceLimit),
     (lambda n: next(enumerate_partitions(-n)), NegativeArgument),
     (lambda n: next(enumerate_partitions(n)), ResourceLimit),
-    (lambda n: cmd_partition(Namespace(sub="mode", n=-n, precision=6, out=None)),
+    (lambda n: cmd_partition(Namespace(sub="mode", n=-n, precision=6), io.StringIO()),
      NegativeArgument),
     (lambda n: durfee_moment_estimates(-n), NegativeArgument),
     (lambda n: h_na(-n), NegativeArgument),
