@@ -4,9 +4,10 @@
 only for the rest, so only this module imports ``argparse``.  The grammar
 is not stated here: ``build_parser`` builds the parser from the command
 table that ``main`` passes in, ``citest.cli._SYNTAX``, which ``main``'s own
-reader reads too.  This module imports nothing from ``citest.cli``: under
-``python -m citest.cli`` that module runs as ``__main__``, and importing it
-again would run it twice.
+reader reads too.  The table is grammar only, each command's help line and
+arguments; ``main`` calls ``cmd_<command>`` itself.  This module imports
+nothing from ``citest.cli``: under ``python -m citest.cli`` that module runs
+as ``__main__``, and importing it again would run it twice.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def build_parser(syntax) -> argparse.ArgumentParser:
         description="citation indices, total-citation estimators, partition statistics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_line, arguments) in syntax.items():
+    for command, (help_line, arguments) in syntax.items():
         command_parser = sub.add_parser(command, help=help_line)
         for argument in arguments:
             if isinstance(argument, list):

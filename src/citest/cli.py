@@ -12,7 +12,8 @@ The command grammar is stated once, in ``_SYNTAX``, and read twice: ``main``
 reads a well-formed command line from it itself (``_read_argv``), so a plain
 command loads no argparse; for help, usage and every error it hands the
 table to ``citest._parser.build_parser``, which builds argparse's parser
-from it.
+from it.  The table is grammar only: ``main`` looks up the module's
+``cmd_<command>`` as it calls it, so a wrapper set on the module runs.
 """
 
 from __future__ import annotations
@@ -72,14 +73,14 @@ _FAILURES = {
 # the row's ``key`` under the name ``out``
 _INDICES = ("name p n_p_plus n_cit h g n_cit_h a_index r_index e_index h_cap_index d_index"
             " r_floor q q_prime h_na h_na_over_h e_over_h q_over_e i i_mean")
-_ESTIMATE = "name d case h_d e_d q_d j_d j_d1 a b_prime b_dprime b"
+_ESTIMATE = "name d case=case_tag h_d e_d q_d j_d j_d1 a=a_est b_prime b_dprime b=b_est"
 _ESTIMATE_BLIND = _ESTIMATE + " ranks_consumed"
 _ESTIMATE_FULL = _ESTIMATE + " cap_delta_a cap_delta_b delta_a delta_b"
 _LADDER = "k h_k n_h_k n_cit_k e_k q_k"
 _TABLE1 = ("researcher=name n_p_plus n_cit h n_cit_h h_na q e=e_index i i_mean iq iq_mean"
            " r=r_floor ir ir_mean q_prime iq_prime iq_prime_mean")
-_TABLE2 = ("researcher=name n_cit h case d h_d n_h_d e_d q_d j_d j_d_mean"
-           " h_d1 e_d1 q_d1 j_d1 j_d1_mean a b_prime b_dprime b cap_delta_a cap_delta_b delta_b")
+_TABLE2 = ("researcher=name n_cit h case=case_tag d h_d n_h_d e_d q_d j_d j_d_mean h_d1 e_d1"
+           " q_d1 j_d1 j_d1_mean a=a_est b_prime b_dprime b=b_est cap_delta_a cap_delta_b delta_b")
 
 
 def _fmt(value, precision: int) -> str:
@@ -195,26 +196,18 @@ def _estimate_row(subject, name) -> dict:
     report = estimate_report(subject, defect)
     row_d, row_d1 = defect.row_d, defect.row_d1
     row = {
+        **report._asdict(),
         "name": name,
         "h": defect.rows[0].h_k,
-        "case": report.case_tag,
-        "d": report.d,
         "h_d": row_d.h_k,
         "n_h_d": row_d.n_h_k,
         "e_d": row_d.e_k,
         "q_d": row_d.q_k,
-        "j_d": report.j_d,
         "j_d_mean": report.j_d.midpoint,
         "h_d1": row_d1.h_k,
         "e_d1": row_d1.e_k,
         "q_d1": row_d1.q_k,
-        "j_d1": report.j_d1,
         "j_d1_mean": report.j_d1.midpoint,
-        "a": report.a_est,
-        "b_prime": report.b_prime,
-        "b_dprime": report.b_dprime,
-        "b": report.b_est,
-        "ranks_consumed": report.ranks_consumed,
         "ladder": defect.rows,
     }
     if subject.complete:
@@ -341,28 +334,28 @@ _PRECISION_ARGUMENT = ("--precision", dict(type=lambda text: integer_argument(te
 # then, for a command that reads a profile, its input
 _INPUT_ARGUMENTS = [("file", {}), ("--format", dict(choices=("json", "csv", "lines")))]
 # the command grammar, read by _read_argv and by _parser.build_parser: each
-# command's handler, help line and arguments, in the order argparse adds
-# them, each as add_argument's name and keywords; a nested list is a
-# mutually exclusive group.  A type raises ValueError on text it refuses
+# command's help line and arguments (main calls its cmd_<command> by name),
+# in argparse's order, each as add_argument's name and keywords; a nested
+# list is a mutually exclusive group.  A type raises ValueError on text it refuses
 _SYNTAX = {
-    "indices": (cmd_indices, "core index family for one profile", [
+    "indices": ("core index family for one profile", [
         _PRECISION_ARGUMENT, *_INPUT_ARGUMENTS,
         [("--json", dict(action="store_true")), ("--csv", dict(action="store_true"))],
     ]),
-    "estimate": (cmd_estimate, "total-citation estimate from the h-core", [
+    "estimate": ("total-citation estimate from the h-core", [
         _PRECISION_ARGUMENT, *_INPUT_ARGUMENTS,
         ("--blind", dict(type=integer_argument, metavar="K", help="use only the top K ranks")),
         [("--ladder", dict(action="store_true",
                            help="emit the shifted-index ladder rows 0..d+1 as CSV")),
          ("--json", dict(action="store_true"))],
     ]),
-    "partition": (cmd_partition, "exact partition computations", [
+    "partition": ("exact partition computations", [
         _PRECISION_ARGUMENT,
         ("sub", dict(choices=("count", "durfee-dist", "mode"))),
         ("n", dict(type=integer_argument)),
         ("--out", {}),
     ]),
-    "table": (cmd_table, "reproduce a published table from fixtures", [
+    "table": ("reproduce a published table from fixtures", [
         _PRECISION_ARGUMENT,
         ("table", dict(choices=("1", "2", "5", "8"))),
         ("--fixtures", dict(metavar="DIR")),
@@ -383,7 +376,7 @@ def _read_argv(argv: list[str]) -> dict | None:
     """
     if not argv or argv[0] not in _SYNTAX:
         return None
-    arguments = _SYNTAX[argv[0]][2]
+    arguments = _SYNTAX[argv[0]][1]
     groups = [argument for argument in arguments if isinstance(argument, list)]
     # name -> keywords; a group holds options only, so the positionals keep their order
     grammar = dict([a for a in arguments if not isinstance(a, list)] + sum(groups, []))
@@ -438,7 +431,7 @@ def main(argv=None) -> int:
         path = values.get("out")
         # --out is written from a buffer, so that a failing command leaves the file alone
         out = io.StringIO() if path or sys.stdout is None else sys.stdout
-        code = _SYNTAX[values["command"]][0](SimpleNamespace(**values), out)
+        code = globals()["cmd_" + values["command"]](SimpleNamespace(**values), out)
         if path:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(out.getvalue())

@@ -1,4 +1,4 @@
-"""Numeric constants shared by the estimator and partition modules.
+"""Numeric constants of ``estimators.py``, the only module that imports them.
 
 ``DURFEE_MODE_COEFF`` is sqrt(6)*ln(2)/pi, the coefficient in the asymptotic
 mode of the Durfee-square size of a uniform random partition.  The literal

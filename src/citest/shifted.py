@@ -14,8 +14,11 @@ The defect d is the removal depth at which the excess e_k first crosses the
 shifted index h_k; the crossing direction fixes the case tag consumed by the
 estimator module.  The last scanned row's delta_k is never used, so a scan
 certifies from ranks up to min(p, h_k+k+1) of the row before it (of row 0
-when only row 0 is scanned): the smallest certifying prefix, reported as
-``ranks_consumed``.
+when only row 0 is scanned), reported as ``ranks_consumed``: the shortest
+prefix from which this scan certifies (one rank fewer raises
+``InsufficientTail``), not always the shortest that fixes the answer.  With
+d = 0, fewer ranks fix it for white (21 of 22), kalaj (33 of 38), monkova
+(24 of 28), mutafchiev (15 of 19) and spalevic (43 of 54).
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ class DefectAnalysis(namedtuple("DefectAnalysis", "d case_tag rows ranks_consume
     """Defect depth d, its case tag, and the ladder rows 0..d+1.
 
     ``ranks_consumed`` is the highest rank the classification had to read:
-    the shortest prefix that certifies it, which blind estimation reports
-    back.
+    the shortest prefix from which this scan certifies it (one rank fewer
+    raises ``InsufficientTail``), which blind estimation reports back.
     """
 
     __slots__ = ()

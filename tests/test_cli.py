@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citest import refdata
+from citest import cli, refdata
 from citest._parser import build_parser
 from citest.cli import _SYNTAX, _emit_row, _read_argv, main
 
@@ -441,6 +441,40 @@ def test_closed_stdout_in_process(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_broken_pipe_in_process(capsys, monkeypatch):
+    # stdout's reader is gone: the final flush fails, and main points the
+    # write fd at devnull so that closing the stream later stays quiet
+    read, write = os.pipe()
+    os.close(read)
+    stream = open(write, "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stream)
+    try:
+        assert main(GARFIELD) == 141
+        got, null = os.fstat(write), os.stat(os.devnull)
+        assert (got.st_dev, got.st_ino, got.st_rdev) == (null.st_dev, null.st_ino, null.st_rdev)
+    finally:
+        stream.close()
+    assert capsys.readouterr().err == ""
+
+
+def test_main_calls_the_handler_on_the_module(capsys, monkeypatch):
+    # the command table holds no handler: main looks up cmd_<command> when it
+    # calls it, so a wrapper set on the module is what runs
+    real, calls = cli.cmd_estimate, []
+
+    def spy(args, out):
+        calls.append(args.file)
+        return real(args, out)
+
+    monkeypatch.setattr(cli, "cmd_estimate", spy)
+    assert main(GARFIELD) == 0
+    assert calls == [GARFIELD[1]]
+    assert capsys.readouterr().out == (GOLDEN / "garfield.estimate.out").read_text()
+    for command, (help_line, arguments) in _SYNTAX.items():
+        assert isinstance(help_line, str) and isinstance(arguments, list)
+        assert callable(getattr(cli, f"cmd_{command}"))
+
+
 def test_estimate_ladder_on_a_flat_core_skips_the_error_metrics(tmp_path, capsys):
     # e = 0 at row 0 collapses the interval variants of indices, but not the
     # ladder, A, B or their errors, which come from rows d and d+1
@@ -694,7 +728,7 @@ OWN_OPTIONS = {
     command: [name for argument in arguments
               for name, _ in (argument if isinstance(argument, list) else [argument])
               if name.startswith("-")]
-    for command, (_, _, arguments) in _SYNTAX.items()
+    for command, (_, arguments) in _SYNTAX.items()
 }
 JUNK = ["-h", "--help", "--", "--js", "-1", "", "-", "--format=", "--json=", "--=x", "--precision"]
 
@@ -746,7 +780,7 @@ def test_the_fuzz_draws_from_every_argument_in_the_table():
     # a command or option added to the table is drawn only once it has a pool
     assert set(POSITIONALS) == set(_SYNTAX)
     assert set(OPTIONS) == {name for names in OWN_OPTIONS.values() for name in names}
-    for command, (_, _, arguments) in _SYNTAX.items():
+    for command, (_, arguments) in _SYNTAX.items():
         own = [argument for argument in arguments if not isinstance(argument, list)]
         assert len(POSITIONALS[command]) == sum(not name.startswith("-") for name, _ in own)
 
