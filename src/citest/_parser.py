@@ -13,38 +13,15 @@ as ``__main__``, and importing it again would run it twice.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import quoted
 
 
-class _Formatter(argparse.HelpFormatter):
-    """argparse's help formatter at the width ``shutil.get_terminal_size``
-    gives, minus 2, as argparse's own; it reads that width without importing
-    ``shutil``, which argparse does for every parser it builds."""
-
-    def __init__(self, prog):
-        try:
-            columns = int(os.environ["COLUMNS"])
-        except (KeyError, ValueError):
-            columns = 0
-        if columns <= 0:
-            try:
-                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-            except (AttributeError, ValueError, OSError):  # no stdout, or not a terminal
-                columns = 0
-        super().__init__(prog, width=(columns or 80) - 2)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse, whose messages name a raw argument past 20 characters by its
-    size (``a 100000-character argument``) instead of echoing it, and whose
-    help is sized by ``_Formatter``; the subparsers that ``add_subparsers``
-    makes are of this class too."""
-
-    def __init__(self, *args, formatter_class=_Formatter, **kwargs):
-        super().__init__(*args, formatter_class=formatter_class, **kwargs)
+    size (``a 100000-character argument``) instead of echoing it; the
+    subparsers that ``add_subparsers`` makes are of this class too."""
 
     def print_help(self, file=None):
         # argparse's passes over a failed write, and writes to stderr when fd 1

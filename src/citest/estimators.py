@@ -138,12 +138,6 @@ class ErrorMetrics(namedtuple("ErrorMetrics", "cap_delta_a cap_delta_b delta_a d
     __slots__ = ()
 
 
-def _require_rows(defect: DefectAnalysis) -> tuple[ShiftedRow, ShiftedRow]:
-    if len(defect.rows) < defect.d + 2:
-        raise DegenerateCore("profile too short: no row beyond the defect depth")
-    return defect.rows[defect.d], defect.rows[defect.d + 1]
-
-
 def _weighted(band: Interval, weight_hi: float) -> float:
     return (1.0 - weight_hi) * band.lo + weight_hi * band.hi
 
@@ -206,7 +200,7 @@ def estimate_report(
     """The estimation pipeline for one profile; ``defect`` must be ``h_defect(profile)``."""
     if defect is None:
         defect = h_defect(profile)
-    row_d, row_d1 = _require_rows(defect)
+    row_d, row_d1 = defect.row_d, defect.row_d1
     d, tag, new = defect.d, defect.case_tag, tuple.__new__
     lo_d, hi_d = i_d = interval_I(row_d.h_k, row_d.q_k, row_d.e_k)
     lo_d1, hi_d1 = i_d1 = interval_I(row_d1.h_k, row_d1.q_k, row_d1.e_k)

@@ -9,7 +9,8 @@ removed.  Rows are produced by the constant-work recurrences
 and always agree with direct recomputation from the suffix (the oracle the
 test suite enforces).  The stay/drop indicator delta_k comes from one read of
 rank h_k+k+1 per row.  One plain loop builds the rows for both callers:
-``shifted_ladder`` runs it to a given k, ``h_defect`` until the scan ends.
+``shifted_ladder`` runs it to a given k, ``h_defect`` until the scan ends,
+where one block classifies the scan from the integers the loop held.
 The defect d is the removal depth at which the excess e_k first crosses the
 shifted index h_k; the crossing direction fixes the case tag consumed by the
 estimator module.  The last scanned row's delta_k is never used, so a scan
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import EmptyCore, InsufficientTail, RankOutOfRange, shown
+from .errors import DegenerateCore, EmptyCore, InsufficientTail, RankOutOfRange, shown
 from .indices import suffix_h
 from .profile import CitationProfile
 
@@ -46,7 +47,9 @@ class DefectAnalysis(namedtuple("DefectAnalysis", "d case_tag rows ranks_consume
 
     ``ranks_consumed`` is the highest rank the classification had to read:
     the shortest prefix from which this scan certifies it (one rank fewer
-    raises ``InsufficientTail``), which blind estimation reports back.
+    raises ``InsufficientTail``), which blind estimation reports back.  The
+    scan ends at row 0 when h = 1 and rank 2 is uncited; ``row_d1`` then
+    raises ``DegenerateCore``.
     """
 
     __slots__ = ()
@@ -57,18 +60,21 @@ class DefectAnalysis(namedtuple("DefectAnalysis", "d case_tag rows ranks_consume
 
     @property
     def row_d1(self) -> ShiftedRow:
+        if len(self.rows) == self.d + 1:
+            raise DegenerateCore("profile too short: no row beyond the defect depth")
         return self.rows[self.d + 1]
 
 
-def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
-    """Ladder rows 0..k_max by the recurrences, or the defect scan's rows.
+def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow] | DefectAnalysis:
+    """Ladder rows 0..k_max by the recurrences, or the defect scan's analysis.
 
     ``k_max`` must be below the last cited rank, which ``shifted_ladder``
     checks: no row checks for h_k = 0.  With ``k_max=None`` the rows run
     until the first one whose e/h side flips against row 0's (ties count
-    with row 0's side), else to the last cited rank.  Each row reads rank
-    h_k+k+1 once for its stay/drop indicator ``delta_k``.  Where a prefix
-    cannot certify it, building the next row raises ``InsufficientTail``.
+    with row 0's side), else to the last cited rank, and the block after the
+    loop classifies where they stopped.  Each row reads rank h_k+k+1 once
+    for its stay/drop indicator ``delta_k``.  Where a prefix cannot certify
+    it, building the next row raises ``InsufficientTail``.
     """
     citations = profile.citations
     known = len(citations)
@@ -78,8 +84,9 @@ def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
         raise EmptyCore("h = 0: the shifted ladder is undefined")
     n_h_k = sum(citations[:h_k])
     n_cit_k = profile.n_cit if complete else None
-    # row-0 side, on exact integers: e_0 >= h_0  <=>  N_h >= 2 h^2
-    above = n_h_k >= 2 * h_k * h_k
+    # row-0 side, on exact integers (ex_k = e_k^2): e_0 >= h_0  <=>  ex_0 >= h_0^2
+    h_0, ex_0 = h_k, n_h_k - h_k * h_k
+    above = ex_0 >= h_0 * h_0
     scan = k_max is None
     if scan:
         # rows whose suffix has no cited entries have e_k = h_k = 0 and can
@@ -90,7 +97,7 @@ def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
         k_max = h_k - 1 if (citations[h_k] == 0 if h_k < known else complete) else h_k
     rows: list[ShiftedRow] = []
     new, sqrt = tuple.__new__, math.sqrt
-    k = 0
+    k, read = 0, h_k + 1
     while True:
         hsq = h_k * h_k
         ex = n_h_k - hsq
@@ -104,9 +111,10 @@ def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
         q_k = 2.0 * n_h_k / hsq - 1.0
         rows.append(new(ShiftedRow, (k, h_k, n_h_k, sqrt(ex), q_k, n_cit_k)))
         if k == k_max or scan and ((ex < hsq) if above else (ex > hsq)):
-            return rows
+            break
         if delta_k is None:
             raise InsufficientTail(known, rank, what=f"ladder row {k + 1}")
+        read, h_d, ex_d = rank, h_k, ex
         # on a stay the boundary entry, equal to h_k, re-enters the core.  h_k is
         # reused rather than rebuilt as h_k - 1 + delta_k, which would allocate
         # a new int per row once h exceeds the small-int cache
@@ -119,6 +127,27 @@ def _ladder(profile: CitationProfile, k_max: int | None) -> list[ShiftedRow]:
         if complete:
             n_cit_k -= cit_next
         k += 1
+    if not scan:
+        return rows
+
+    # every threshold compared on exact integers: e > h+1  <=>  e^2 > (h+1)^2.
+    # The scan ends on the crossing row d+1, where h_d and ex_d are row d's,
+    # else at its bound with no crossing
+    if (ex < hsq) if above else (ex > hsq):
+        d = k - 1
+        if above:
+            tag = "case2a" if ex_d > (h_d + 1) ** 2 else "case2b"
+            tag += "_2c" if (h_k - 1) ** 2 > ex else "_2d"
+        else:
+            tag = "case4"
+    elif above:
+        d, tag = 0, "case1a" if ex_0 > (h_0 + 1) ** 2 else "case1b"
+    else:
+        d, tag = 0, "case3a" if ex_0 >= (h_0 - 1) ** 2 else "case3b"
+    # h_{k+1} >= h_k - 1, so h_k + k never decreases along the ladder.  The
+    # last row's delta_k builds no row, so the highest rank read is ``read``,
+    # the one that built it
+    return DefectAnalysis(d, tag, tuple(rows[: d + 2]), min(profile.p, read))
 
 
 def shifted_ladder(profile: CitationProfile, k_max: int) -> list[ShiftedRow]:
@@ -134,10 +163,6 @@ def shifted_ladder(profile: CitationProfile, k_max: int) -> list[ShiftedRow]:
     return _ladder(profile, k_max)
 
 
-def _excess_sq(row: ShiftedRow) -> int:
-    return row.n_h_k - row.h_k * row.h_k
-
-
 def h_defect(profile: CitationProfile) -> DefectAnalysis:
     """Classify the profile per the four-case defect definition.
 
@@ -147,33 +172,4 @@ def h_defect(profile: CitationProfile) -> DefectAnalysis:
     returned ladder.  Raises ``InsufficientTail`` when a prefix cannot
     certify the scan.
     """
-    rows = _ladder(profile, None)
-    row0, last = rows[0], rows[-1]
-    h0, ex0, h, ex = row0.h_k, _excess_sq(row0), last.h_k, _excess_sq(last)
-    above = ex0 >= h0 * h0
-    # every threshold compared on exact integers: e > h+1  <=>  e^2 > (h+1)^2.
-    # The scan ends on the crossing row d+1, else at its bound with no crossing
-    if (ex < h * h) if above else (ex > h * h):
-        d = last.k - 1
-        if above:
-            row_d = rows[d]
-            tag = "case2a" if _excess_sq(row_d) > (row_d.h_k + 1) ** 2 else "case2b"
-            tag += "_2c" if (h - 1) ** 2 > ex else "_2d"
-        else:
-            tag = "case4"
-    elif above:
-        d, tag = 0, "case1a" if ex0 > (h0 + 1) ** 2 else "case1b"
-    else:
-        d, tag = 0, "case3a" if ex0 >= (h0 - 1) ** 2 else "case3b"
-
-    # h_{k+1} >= h_k - 1, so h_k + k never decreases along the ladder.  The
-    # last scanned row's delta_k builds no row, so the highest rank needed is
-    # h_k + k + 1 of the row before it
-    before = rows[-2] if len(rows) > 1 else row0
-    return DefectAnalysis(
-        d=d,
-        case_tag=tag,
-        rows=tuple(rows[: d + 2]),
-        ranks_consumed=min(profile.p, before.h_k + before.k + 1),
-    )
-
+    return _ladder(profile, None)

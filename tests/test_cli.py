@@ -63,6 +63,16 @@ def test_estimate_all_zero_profile_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("citest: degenerate profile: h = 0")
 
 
+def test_estimate_one_row_scan_exits_3(tmp_path, capsys):
+    # h = 1 with rank 2 uncited: the scan ends at row 0, so there is no row d+1
+    path = tmp_path / "one.txt"
+    path.write_text("5\n")
+    assert run("estimate", str(path)) == (3, "")
+    assert capsys.readouterr().err == (
+        "citest: degenerate profile: profile too short: no row beyond the defect depth\n"
+    )
+
+
 def _profile_text(suffix, values):
     if suffix == ".json":
         return '{"citations": [' + ", ".join(values) + "]}"

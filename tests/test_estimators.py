@@ -244,7 +244,7 @@ def test_blind_estimate_matches_full(values):
 )
 def test_blind_prefix_for_d0_fixtures(fixture_profile, name, k):
     # with d = 0, certifying that no crossing occurs reads past rank
-    # d+1+h_{d+1}+1; K is the smallest prefix that certifies
+    # d+1+h_{d+1}+1; K is the shortest prefix from which the scan certifies
     p = fixture_profile(name)
     assert h_defect(p).d == 0
     full = estimate_report(p)

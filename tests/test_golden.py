@@ -3,9 +3,9 @@
 Each case in ``golden/cases.json`` is replayed in-process through
 ``citest.cli.main`` with stdout captured; the exit code and the stdout bytes
 must equal the recorded ones in ``golden/<id>.out``.  A refactor that claims
-to keep behaviour has to pass this unchanged.  The blind cases use the
-smallest prefix K that certifies each fixture's estimate, recorded in the
-case's argv.
+to keep behaviour has to pass this unchanged.  The blind cases use as K
+the shortest prefix from which the scan certifies each fixture's estimate,
+recorded in the case's argv.
 
 The help cases pin the stdout of ``citest --help`` and of each subcommand's
 ``--help``, and the stderr of one usage error, at the width argparse takes
@@ -38,7 +38,7 @@ GOLDEN = HERE / "golden"
 FIXTURES = HERE / "fixtures"
 CASES = GOLDEN / "cases.json"
 
-# smallest rank prefix at which each fixture's blind estimate certifies
+# the shortest prefix from which the scan certifies each fixture's blind estimate
 BLIND_K = {
     "braun": 39, "egghe": 34, "einstein": 147, "garfield": 47, "glanzel": 62,
     "ingwersen": 32, "kalaj": 38, "kessler": 365, "kim": 347, "leydesdorff": 82,

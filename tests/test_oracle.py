@@ -3,7 +3,7 @@ blind estimation, against the brute-force reference in ``reference.py``.
 
 Hypothesis draws profiles of up to 60 ranks; one sweep checks every
 partition of n <= 24, with and without two uncited ranks, including the
-smallest prefix that certifies each estimate.
+shortest prefix from which the scan certifies each estimate.
 """
 
 import math
@@ -78,8 +78,9 @@ def _check_ladder_and_defect(profile):
 
 
 def _check_smallest_prefix(profile, full):
-    """The full run read the smallest certifying prefix: that prefix gives
-    the same report, and one rank less names the rank it lacks."""
+    """The full run read the shortest prefix from which the scan certifies:
+    that prefix gives the same report, and one rank less names the rank it
+    lacks."""
     assert full.ranks_consumed == reference.prefix(profile.citations)
     assert estimate_report(truncate_head(profile, full.ranks_consumed)) == full
     with pytest.raises(InsufficientTail) as shorter:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from citest import (
+    DegenerateCore,
     EmptyCore,
     InsufficientTail,
     RankOutOfRange,
@@ -14,7 +15,7 @@ from citest import (
 )
 
 import reference
-from conftest import profiles
+from conftest import FIXTURES, profiles
 
 
 def test_ladder_small_example():
@@ -232,9 +233,26 @@ def test_insufficient_tail_raises():
 
 
 def test_prefix_certified_defect_matches_full(fixture_profile):
-    p = fixture_profile("garfield")
-    full = h_defect(p)
-    head = truncate_head(p, 47)
-    blind = h_defect(head)
-    assert (blind.d, blind.case_tag) == (full.d, full.case_tag)
-    assert blind.ranks_consumed == 47
+    # every prefix from ranks_consumed on, up to twice it and the whole
+    # profile, gives the full scan's answer; one rank fewer names the rank
+    for name in sorted(path.stem for path in FIXTURES.glob("*.csv")):
+        p = fixture_profile(name)
+        full = h_defect(p)
+        needed = full.ranks_consumed
+        for k in {*range(needed, min(p.p, 2 * needed) + 1), p.p}:
+            blind = h_defect(truncate_head(p, k))
+            assert (blind.d, blind.case_tag, blind.ranks_consumed) == (
+                full.d, full.case_tag, needed), (name, k)
+            # n_cit_k is None on a prefix
+            assert [r[:5] for r in blind.rows] == [r[:5] for r in full.rows], (name, k)
+        with pytest.raises(InsufficientTail) as shorter:
+            h_defect(truncate_head(p, needed - 1))
+        assert shorter.value.needed_rank == needed, name
+
+
+def test_defect_without_row_d1_raises_degenerate_core():
+    # h = 1 and rank 2 uncited: the scan ends at row 0
+    defect = h_defect(normalize([5]))
+    assert (defect.d, len(defect.rows)) == (0, 1)
+    with pytest.raises(DegenerateCore, match="^profile too short: no row beyond the defect depth$"):
+        defect.row_d1
