@@ -273,15 +273,6 @@ def _table8_rows():
     ]
 
 
-def _diff_cell(got, expected):
-    """expected is (value, tol) or ((lo, hi), tol); returns (ok, delta)."""
-    value, tol = expected
-    if isinstance(value, tuple):
-        deltas = [abs(g - v) for g, v in zip(got, value)]
-        return max(deltas) <= tol, max(deltas)
-    return abs(got - value) <= tol, abs(got - value)
-
-
 def _diff_report(table_id, rows, out) -> bool:
     """Write the cell-by-cell comparison; return whether every cell matched."""
     expected_map = refdata.PUBLISHED_CELLS.get(table_id, {})
@@ -292,12 +283,16 @@ def _diff_report(table_id, rows, out) -> bool:
     for row in rows:
         name = row["researcher"]
         for cell, expected in expected_map.get(name, {}).items():
-            if not isinstance(expected, tuple):
-                expected = (expected, 0)
-            ok, delta = _diff_cell(row[cell], expected)
+            value, tol = expected if isinstance(expected, tuple) else (expected, 0)
+            got = row[cell]
+            if isinstance(value, tuple):  # an interval: the larger bound difference
+                delta = max(abs(got[0] - value[0]), abs(got[1] - value[1]))
+            else:
+                delta = abs(got - value)
+            ok = delta <= tol
             all_ok = all_ok and ok
             writer.writerow([
-                name, cell, _fmt(row[cell], 10), _fmt(expected[0], 10),
+                name, cell, _fmt(got, 10), _fmt(value, 10),
                 _fmt(delta, 4), "OK" if ok else "FAIL",
             ])
     skipped = [d for d in refdata.KNOWN_DISCREPANCIES if d[0] == table_id]

@@ -29,6 +29,8 @@ from .shifted import DefectAnalysis, ShiftedRow, h_defect
 
 
 class Interval(namedtuple("Interval", "lo hi")):
+    """A closed interval [lo, hi]: I and J bound N_cit, ``brown_interval`` bounds h."""
+
     __slots__ = ()
 
     @property
@@ -69,12 +71,11 @@ def _scaled_mean(center: float, ratio: float) -> float:
     return INV_COEFF_SQ * (1.0 + ratio * ratio) * center * center
 
 
-class IntervalVariants(
-    namedtuple("IntervalVariants", "i i_mean iq iq_mean ir ir_mean iq_prime iq_prime_mean")
-):
-    """The base interval I plus the inflated-center variants I(q), I(r), I(q')."""
-
-    __slots__ = ()
+IntervalVariants = namedtuple(
+    "IntervalVariants", "i i_mean iq iq_mean ir ir_mean iq_prime iq_prime_mean"
+)
+IntervalVariants.__doc__ = """The base interval I plus the inflated-center variants
+I(q), I(r), I(q')."""
 
 
 def interval_variants(indices: CoreIndices) -> IntervalVariants:
@@ -107,35 +108,23 @@ def _frac(x: float) -> float:
     return x - math.floor(x)
 
 
-class CaseWeights(
-    namedtuple("CaseWeights", "alpha_d beta_d alpha_d1 beta_d1", defaults=(None,) * 4)
-):
-    """Convex weights attached to the interval bounds, per case."""
+CaseWeights = namedtuple("CaseWeights", "alpha_d beta_d alpha_d1 beta_d1", defaults=(None,) * 4)
+CaseWeights.__doc__ = """Convex weights attached to the interval bounds, per case."""
 
-    __slots__ = ()
+EstimateReport = namedtuple(
+    "EstimateReport",
+    "d case_tag i_d i_d1 j_d j_d1 a_prime a_est weights"
+    " b_prime b_dprime b_est head_sum_d head_sum_d1 ranks_consumed",
+)
+EstimateReport.__doc__ = """Every quantity the estimation pipeline produces for one profile: I and J
+at ladder rows d and d+1 (an interval's mean is its ``midpoint``), A', A,
+and B', B'', B with the case weights (B'/B'' are None in cases 1b, 3a, 3b).
+A rank prefix that certifies the estimate gives a report equal to the full
+profile's, ``ranks_consumed`` included."""
 
-
-class EstimateReport(
-    namedtuple(
-        "EstimateReport",
-        "d case_tag i_d i_d1 j_d j_d1 a_prime a_est weights"
-        " b_prime b_dprime b_est head_sum_d head_sum_d1 ranks_consumed",
-    )
-):
-    """Every quantity the estimation pipeline produces for one profile: I and J
-    at ladder rows d and d+1 (an interval's mean is its ``midpoint``), A', A,
-    and B', B'', B with the case weights (B'/B'' are None in cases 1b, 3a, 3b).
-    A rank prefix that certifies the estimate gives a report equal to the full
-    profile's, ``ranks_consumed`` included."""
-
-    __slots__ = ()
-
-
-class ErrorMetrics(namedtuple("ErrorMetrics", "cap_delta_a cap_delta_b delta_a delta_b")):
-    """Absolute and relative errors of A and B against the known total N_cit,
-    signed N_cit - estimate, as the source tables print them."""
-
-    __slots__ = ()
+ErrorMetrics = namedtuple("ErrorMetrics", "cap_delta_a cap_delta_b delta_a delta_b")
+ErrorMetrics.__doc__ = """Absolute and relative errors of A and B against the known total N_cit,
+signed N_cit - estimate, as the source tables print them."""
 
 
 def _weighted(band: Interval, weight_hi: float) -> float:

@@ -44,6 +44,8 @@ CoreIndices = namedtuple(
     "CoreIndices",
     "h g n_cit_h a_index r_index e_index r_floor q q_prime h_cap_index d_index",
 )
+CoreIndices.__doc__ = """The core indices of one profile with h >= 1: h, g, N_cit(h), A, R, e,
+r, q, q', H and D, as the module docstring defines them."""
 
 
 def h_index(profile: CitationProfile) -> int:

@@ -62,12 +62,8 @@ def partition_count(n: int) -> int:
     return sum(_durfee_counts(n).values())
 
 
-class DurfeeDistribution(
-    namedtuple("DurfeeDistribution", "counts total mode mode_tied mean variance")
-):
-    """Exact counts of partitions of n by Durfee-square side."""
-
-    __slots__ = ()
+DurfeeDistribution = namedtuple("DurfeeDistribution", "counts total mode mode_tied mean variance")
+DurfeeDistribution.__doc__ = """Exact counts of partitions of n by Durfee-square side."""
 
 
 def count_by_durfee(n: int) -> DurfeeDistribution:

@@ -31,15 +31,13 @@ from .errors import DegenerateCore, EmptyCore, InsufficientTail, RankOutOfRange,
 from .indices import suffix_h
 from .profile import CitationProfile
 
-class ShiftedRow(namedtuple("ShiftedRow", "k h_k n_h_k e_k q_k n_cit_k")):
-    """One ladder row: the shifted index of order k and its core statistics.
+ShiftedRow = namedtuple("ShiftedRow", "k h_k n_h_k e_k q_k n_cit_k")
+ShiftedRow.__doc__ = """One ladder row: the shifted index of order k and its core statistics.
 
-    ``n_cit_k`` (the tail total) is ``None`` when the profile is a prefix.
-    Whether h stays at the next step shows in the next row:
-    ``rows[k + 1].h_k == rows[k].h_k``.
-    """
-
-    __slots__ = ()
+``n_cit_k`` (the tail total) is ``None`` when the profile is a prefix.
+Whether h stays at the next step shows in the next row:
+``rows[k + 1].h_k == rows[k].h_k``.
+"""
 
 
 class DefectAnalysis(namedtuple("DefectAnalysis", "d case_tag rows ranks_consumed")):

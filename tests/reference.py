@@ -1,7 +1,8 @@
 """The tests' one brute-force reference, each function written from its
-definition on a non-increasing citation sequence.  It imports only ``math``,
-so it shares no code with the citest code it checks."""
+definition on a non-increasing citation sequence.  It imports only ``math``
+and ``itertools``, so it shares no code with the citest code it checks."""
 
+import itertools
 import math
 
 
@@ -154,6 +155,13 @@ def prefix(values):
     else:
         last = h0 if h0 < len(values) and values[h0] else h0 - 1
     return min(len(values), max(k + h(values[k:]) + 1 for k in range(max(last, 1))))
+
+
+def completions(top, length):
+    """Every non-increasing tail of at most ``length`` entries, each in 0..top,
+    shortest first: every way a prefix whose last value is ``top`` can go on."""
+    for size in range(length + 1):
+        yield from itertools.combinations_with_replacement(range(top, -1, -1), size)
 
 
 def partition_counts(n_max):

@@ -3,7 +3,9 @@ blind estimation, against the brute-force reference in ``reference.py``.
 
 Hypothesis draws profiles of up to 60 ranks; one sweep checks every
 partition of n <= 24, with and without two uncited ranks, including the
-shortest prefix from which the scan certifies each estimate.
+shortest prefix from which the scan certifies each estimate.  Another checks
+that a prefix which certifies agrees with every way the profile can go on,
+not only with the true tail.
 """
 
 import math
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 
 from citest import (
     DegenerateCore,
+    EmptyCore,
+    EstimateReport,
     InsufficientTail,
     enumerate_partitions,
     estimate_report,
@@ -147,4 +151,37 @@ def test_every_partition_up_to_24_matches_the_reference():
     assert outcomes == {
         "DegenerateCore": 5350, "case1a": 462, "case1b": 378, "case2a_2d": 570,
         "case2b_2c": 140, "case2b_2d": 2312, "case3a": 2060, "case3b": 926, "case4": 2476,
+    }
+
+
+def _outcome(profile):
+    """The profile's estimate report, or the type of the error that says it has none."""
+    try:
+        return estimate_report(profile)
+    except (DegenerateCore, EmptyCore) as exc:
+        return type(exc)
+
+
+def test_every_completion_of_a_certified_prefix_agrees():
+    # every distinct prefix, ending at a value c_K <= 5, of a partition of n <= 24
+    prefixes = {parts[:k] for n in range(1, 25) for parts in enumerate_partitions(n)
+                for k in range(1, len(parts) + 1) if parts[k - 1] <= 5}
+    counts = Counter()
+    for prefix in sorted(prefixes):
+        k = len(prefix)
+        # cut from a longer profile: truncate_head(normalize(prefix), k) is complete
+        try:
+            want = _outcome(truncate_head(normalize([*prefix, 0]), k))
+        except InsufficientTail:
+            counts["InsufficientTail"] += 1
+            continue
+        counts["estimate" if isinstance(want, EstimateReport) else want.__name__] += 1
+        # every tail with values <= c_K, out to rank 2h_0+2: no ladder row reads
+        # past rank 2h_0+1, and the empty tail is the prefix as a full profile
+        for tail in reference.completions(prefix[-1], max(0, 2 * reference.h(prefix) + 2 - k)):
+            counts["completions"] += 1
+            assert _outcome(normalize([*prefix, *tail])) == want, (prefix, tail)
+    # pinned, so that a grid which skips prefixes or tails fails
+    assert counts == {
+        "InsufficientTail": 495, "estimate": 4119, "DegenerateCore": 2631, "completions": 35139,
     }

@@ -1,6 +1,6 @@
-"""Result records stay immutable, importing the CLI stays light, every
-import and every module-level private name in the package is used, and the
-README names exactly the public API."""
+"""Result records stay immutable and each is one documented class,
+importing the CLI stays light, every import and every module-level private
+name in the package is used, and the README names exactly the public API."""
 
 import ast
 import os
@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import types
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,18 @@ def test_record_refuses_assignment(kind):
         with pytest.raises(AttributeError):
             record.n_cit = 0
         assert record.n_cit == total == sum(record.citations)
+
+
+@pytest.mark.parametrize("kind", list(_records()))
+def test_record_is_one_documented_class(kind):
+    cls = type(_records()[kind][0])
+    plain = namedtuple(kind, cls._fields)
+    assert cls.__doc__ and cls.__doc__ != plain.__doc__, kind
+    # what a subclass adds to the class namedtuple builds: a record subclasses
+    # only for a property or method of its own
+    added = {name for klass in cls.__mro__[:-2] for name in vars(klass)} - set(vars(plain))
+    added -= {"__dict__", "__weakref__"}  # CitationProfile's instances hold cached sums
+    assert (cls.__bases__ == (tuple,)) == (not added), (kind, sorted(added))
 
 
 def _assert_full_arity(record, cls):
